@@ -1,45 +1,39 @@
-// Engine event-loop scaling: full vs incremental component-scoped rate
-// refresh (sim::RefreshMode) crossed with heap vs scan next-event selection
-// (sim::QueueMode, the core::EventQueue finish-time index vs the legacy
-// per-event linear scans) crossed with serial vs parallel component solving
-// (sim::SolveMode, the ThreadPool-backed flush — docs/PERFORMANCE.md).
+// Engine event-loop scaling: the incremental component-scoped rate refresh
+// on the event-core finish-time heap, with serial vs parallel component
+// solving (sim::SolveMode, the ThreadPool-backed flush —
+// docs/PERFORMANCE.md).
 //
 // Scenario: a sparse schedule on N nodes — per round, a seeded random
 // perfect matching where every node either sends or receives exactly one
 // rendezvous message, rounds separated by barriers. The conflict graph of
-// each round is N/2 disjoint pairs, the regime where a full re-solve on
-// every event does maximal wasted work and the component-scoped solver
-// touches O(1) communications per event — and where each round's release
-// flushes N/2 disjoint dirty components at once, the widest batch the
-// parallel solver can fan out.
+// each round is N/2 disjoint pairs, the regime where the component-scoped
+// solver touches O(1) communications per event — and where each round's
+// release flushes N/2 disjoint dirty components at once, the widest batch
+// the parallel solver can fan out.
 //
 // A --churn axis (events/s, default 0) scripts seeded node join/leave/fail
 // events onto every replay (sim/scenario.hpp): failures abort in-flight
-// transfers and dirty their components, so churned rows measure the
-// incremental/parallel solver under membership events instead of assuming
-// the static-cluster numbers transfer.
+// transfers and dirty their components, so churned rows measure the solver
+// under membership events instead of assuming the static-cluster numbers
+// transfer.
 //
-// Emits BENCH_engine.json (schema_version 5, docs/PERFORMANCE.md) so the
+// Emits BENCH_engine.json (schema_version 6, docs/PERFORMANCE.md) so the
 // repo keeps a machine-readable perf trajectory: one row per
-// provider x node count x churn rate x queue mode x solve mode, each
-// echoing the RNG seed, the refresh mode and the thread count it measured
-// so a baseline is reproducible from the file alone. Serial rows also carry
-// allocation counters (util::alloc_count()): alloc_total over the timed
-// replay, and alloc_per_event — the allocation count delta between the
-// R-round replay and a warmed 1-round twin, divided by the completed-comm
-// delta. With the fluid provider the steady-state event loop is
-// allocation-free, so the per-event figure must stay ~0 (CI gates it);
-// model providers (gige) go through the allocating rates() fallback and are
-// reported but exempt. Node counts above --max-full-nodes run
-// the incremental path only (the full solve becomes quadratic-plus and
-// would dominate the bench's wall time); their full_ms/speedup fields are
-// null. Scan rows stop above --max-scan-nodes (the per-event scans are
-// quadratic too). Every heap cell with a full measurement also replays the
-// schedule in RefreshMode::kCrossCheck — per-event rate equivalence plus
-// the heap-order-equals-scan-order assertion, and for parallel rows the
-// parallel-vs-serial per-component oracle — and the bench exits non-zero
-// if any scan row is not bit-identical to its heap twin or any parallel
-// row is not bit-identical to its serial twin.
+// provider x node count x churn rate x solve mode, each echoing the RNG
+// seed and the thread count it measured so a baseline is reproducible from
+// the file alone. Serial rows also carry allocation counters
+// (util::alloc_count()): alloc_total over the timed replay, and
+// alloc_per_event — the allocation count delta between the R-round replay
+// and a warmed 1-round twin, divided by the completed-comm delta. With the
+// fluid provider the steady-state event loop is allocation-free, so the
+// per-event figure must stay ~0 (CI gates it); model providers (gige) go
+// through the allocating rates() fallback and are reported but exempt.
+// Every row up to --max-crosscheck-nodes also replays the schedule with
+// EngineConfig::cross_check armed — per-component fresh re-solves, the
+// whole-set solve, and the heap-vs-scan event and wake-order checks — which
+// throws on any divergence and must be bit-identical to the timed replay.
+// The bench exits non-zero if a cross-check replay or any parallel row is
+// not bit-identical to its serial twin.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -102,16 +96,14 @@ struct Run {
 Run timed_run(const sim::AppTrace& trace, const topo::ClusterSpec& cluster,
               const sim::Placement& placement,
               const flowsim::RateProvider& provider,
-              const sim::Scenario& scenario, sim::RefreshMode mode,
-              sim::QueueMode queue,
+              const sim::Scenario& scenario,
               sim::SolveMode solve = sim::SolveMode::kSerial,
-              util::ThreadPool* pool = nullptr) {
+              util::ThreadPool* pool = nullptr, bool cross_check = false) {
   Run out;
   const uint64_t allocs0 = util::alloc_count();
   const auto t0 = std::chrono::steady_clock::now();
   sim::EngineConfig cfg;
-  cfg.refresh = mode;
-  cfg.queue = queue;
+  cfg.cross_check = cross_check;
   cfg.solve = solve;
   cfg.solve_pool = pool;
   out.result =
@@ -158,19 +150,16 @@ void usage(const char* prog) {
       << "                        rate adds a row set replaying under a\n"
       << "                        seeded join/leave/fail script)\n"
       << "  --providers LIST      fluid and/or gige (default fluid)\n"
-      << "  --queues LIST         heap and/or scan next-event selection\n"
-      << "                        (default heap,scan; scan rows must be\n"
-      << "                        bit-identical to their heap twin)\n"
       << "  --solve LIST          serial and/or parallel component solving\n"
       << "                        (default serial,parallel; parallel rows\n"
       << "                        must be bit-identical to their serial\n"
       << "                        twin)\n"
       << "  --threads T           pool size for parallel rows (default 0 =\n"
       << "                        hardware threads)\n"
-      << "  --max-full-nodes N    largest size timing the full refresh and\n"
-      << "                        running the cross-check (default 1024)\n"
-      << "  --max-scan-nodes N    largest size running scan rows (default\n"
-      << "                        16384; the per-event scans are quadratic)\n"
+      << "  --max-crosscheck-nodes N\n"
+      << "                        largest size also replayed with the\n"
+      << "                        cross_check oracle armed (default 1024;\n"
+      << "                        its per-event scans are quadratic)\n"
       << "  --out PATH            JSON output (default BENCH_engine.json)\n";
 }
 
@@ -183,9 +172,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   const auto unknown = args.unknown_flags(
-      {"nodes", "rounds", "bytes", "seed", "churn", "providers", "queues",
-       "solve", "threads", "max-full-nodes", "max-scan-nodes", "out",
-       "help"});
+      {"nodes", "rounds", "bytes", "seed", "churn", "providers", "solve",
+       "threads", "max-crosscheck-nodes", "out", "help"});
   if (!unknown.empty()) {
     std::cerr << "error: unknown flag --" << unknown.front() << "\n";
     usage(args.program().c_str());
@@ -197,11 +185,9 @@ int main(int argc, char** argv) {
   const int rounds = static_cast<int>(args.get_int("rounds", 3));
   const double bytes = args.get_double("bytes", 4e6);
   const uint64_t seed = static_cast<uint64_t>(args.get_int("seed", 1));
-  const long max_full = args.get_int("max-full-nodes", 1024);
-  const long max_scan = args.get_int("max-scan-nodes", 16384);
+  const long max_crosscheck = args.get_int("max-crosscheck-nodes", 1024);
   const std::string out_path = args.get("out", "BENCH_engine.json");
   const std::string providers = args.get("providers", "fluid");
-  const std::string queues = args.get("queues", "heap,scan");
   const std::string solves = args.get("solve", "serial,parallel");
   const int threads_flag = static_cast<int>(args.get_int("threads", 0));
 
@@ -218,18 +204,6 @@ int main(int argc, char** argv) {
     churn_rates.push_back(rate);
   }
   std::vector<std::string> provider_names = split(providers, ',');
-  bool with_heap = false;
-  bool with_scan = false;
-  for (const auto& q : split(queues, ',')) {
-    if (trim(q) == "heap") {
-      with_heap = true;
-    } else if (trim(q) == "scan") {
-      with_scan = true;
-    } else {
-      std::cerr << "error: unknown queue mode '" << trim(q) << "'\n";
-      return 2;
-    }
-  }
   bool with_serial = false;
   bool with_parallel = false;
   for (const auto& s : split(solves, ',')) {
@@ -254,20 +228,14 @@ int main(int argc, char** argv) {
   std::string rows;
   bool all_equivalent = true;
 
-  // One emitted row per provider x node count x churn rate x queue mode x
-  // solve mode.
+  // One emitted row per provider x node count x churn rate x solve mode.
   struct Row {
-    const char* queue = "";
     const char* solve = "serial";
     int threads = 1;
     double churn = 0.0;
     size_t aborted = 0;
     double makespan = 0.0;
-    double incremental_ms = 0.0;
-    double full_ms = -1.0;           // < 0 -> null
-    double speedup = -1.0;           // < 0 -> null
-    double max_rel_err = -1.0;       // full vs incremental; < 0 -> null
-    double queue_rel_err = -1.0;     // scan vs heap twin; < 0 -> null
+    double wall_ms = 0.0;
     double solve_rel_err = -1.0;     // parallel vs serial twin; < 0 -> null
     double solve_speedup = -1.0;     // serial_ms / parallel_ms; < 0 -> null
     double alloc_total = -1.0;       // operator-new count; < 0 -> null
@@ -275,13 +243,10 @@ int main(int argc, char** argv) {
     bool crosscheck = false;
   };
 
-  std::printf(
-      "%-8s %-7s %-6s %-5s %-8s %10s %14s %9s %12s %13s %13s %13s %11s %8s"
-      "  %s\n",
-      "provider", "nodes", "churn", "queue", "solve", "full_ms",
-      "incremental_ms", "speedup", "max_rel_err", "queue_rel_err",
-      "solve_rel_err", "solve_speedup", "alloc_total", "alloc/ev",
-      "crosscheck");
+  std::printf("%-8s %-7s %-6s %-8s %10s %13s %13s %11s %8s  %s\n",
+              "provider", "nodes", "churn", "solve", "wall_ms",
+              "solve_rel_err", "solve_speedup", "alloc_total", "alloc/ev",
+              "crosscheck");
   for (const auto& pname : provider_names) {
     const flowsim::FluidRateProvider fluid(cal);
     std::shared_ptr<const models::PenaltyModel> model;
@@ -305,144 +270,85 @@ int main(int argc, char** argv) {
       const auto cluster = topo::ClusterSpec::uniform("bench", n, 1, cal);
       const auto placement = sim::make_placement(
           sim::SchedulingPolicy::kRoundRobinNode, cluster, n);
-
-      const bool with_full = n <= max_full;
+      const bool with_crosscheck = n <= max_crosscheck;
       std::vector<Row> cell_rows;
 
       for (const double churn : churn_rates) {
-      sim::Scenario scenario;
-      if (churn > 0.0) {
-        graph::ChurnSpec churn_spec;
-        churn_spec.rate = churn;
-        churn_spec.nodes = n;
-        scenario.churn = graph::generate_churn(churn_spec, seed);
-      }
-
-      // Time the full refresh against `inc`, record the speedup and the
-      // full-vs-incremental divergence, then replay in kCrossCheck — the
-      // per-event rate equivalence (plus, under kHeap, the
-      // heap-order-equals-scan-order assertion) throws and fails the bench
-      // on any divergence.
-      const auto measure_full = [&](Row& row, const Run& inc,
-                                    sim::QueueMode queue) {
-        const Run full =
-            timed_run(trace, cluster, placement, *provider, scenario,
-                      sim::RefreshMode::kFull, queue);
-        row.full_ms = full.wall_ms;
-        row.speedup = inc.wall_ms > 0.0 ? full.wall_ms / inc.wall_ms : -1.0;
-        row.max_rel_err = max_rel_err(full.result, inc.result);
-        if (row.max_rel_err > 1e-9) all_equivalent = false;
-        (void)timed_run(trace, cluster, placement, *provider, scenario,
-                        sim::RefreshMode::kCrossCheck, queue);
-        row.crosscheck = true;
-      };
-
-      // Serial and parallel incremental runs for one queue mode: parallel
-      // must be bit-identical to serial (solve_rel_err exactly 0), and the
-      // kCrossCheck replay of a parallel row additionally runs the
-      // per-component parallel-vs-serial oracle inside the engine.
-      const auto run_queue_cell = [&](sim::QueueMode queue,
-                                      const char* queue_name,
-                                      const Run* heap_serial) -> Run {
-        Run serial;
-        Run one;
-        if (with_serial || with_parallel) {
-          // Warm the thread-local solve scratch/arena, then measure the
-          // 1-round twin so both it and the R-round replay below run warm —
-          // their allocation delta is then pure steady-state work.
-          (void)timed_run(trace1, cluster, placement, *provider, scenario,
-                          sim::RefreshMode::kIncremental, queue);
-          one = timed_run(trace1, cluster, placement, *provider, scenario,
-                          sim::RefreshMode::kIncremental, queue);
-          // The serial run doubles as the parallel rows' oracle baseline,
-          // so it runs whenever any solve mode is requested.
-          serial = timed_run(trace, cluster, placement, *provider, scenario,
-                             sim::RefreshMode::kIncremental, queue);
+        sim::Scenario scenario;
+        if (churn > 0.0) {
+          graph::ChurnSpec churn_spec;
+          churn_spec.rate = churn;
+          churn_spec.nodes = n;
+          scenario.churn = graph::generate_churn(churn_spec, seed);
         }
+
+        // Replay `row`'s run with the cross_check oracle armed: it throws
+        // on any divergence inside the engine, and its result must be
+        // bit-identical to the timed replay it shadows.
+        const auto cross_check = [&](Row& row, const Run& timed,
+                                     sim::SolveMode solve) {
+          if (!with_crosscheck) return;
+          const Run checked =
+              timed_run(trace, cluster, placement, *provider, scenario, solve,
+                        pool.get(), /*cross_check=*/true);
+          if (!sim::bit_identical(timed.result, checked.result))
+            all_equivalent = false;
+          row.crosscheck = true;
+        };
+
+        // The serial run doubles as the parallel rows' oracle baseline, so
+        // it runs whenever any solve mode is requested. Warm the
+        // thread-local solve scratch/arena first, then measure the 1-round
+        // twin so both it and the R-round replay run warm — their
+        // allocation delta is then pure steady-state work.
+        (void)timed_run(trace1, cluster, placement, *provider, scenario);
+        const Run one =
+            timed_run(trace1, cluster, placement, *provider, scenario);
+        const Run serial =
+            timed_run(trace, cluster, placement, *provider, scenario);
         if (with_serial) {
           Row row;
-          row.queue = queue_name;
-          row.solve = "serial";
-          row.threads = 1;
           row.churn = churn;
           row.aborted = serial.result.aborted_comms;
           row.makespan = serial.result.makespan;
-          row.incremental_ms = serial.wall_ms;
+          row.wall_ms = serial.wall_ms;
           row.alloc_total = static_cast<double>(serial.allocs);
           const double comm_delta =
               static_cast<double>(serial.result.comms.size()) -
               static_cast<double>(one.result.comms.size());
           if (comm_delta > 0.0)
-            row.alloc_per_event =
-                (static_cast<double>(serial.allocs) -
-                 static_cast<double>(one.allocs)) /
-                comm_delta;
-          if (heap_serial != nullptr) {
-            // The two selection strategies run identical arithmetic in an
-            // identical order: completion times must be bit-identical.
-            row.queue_rel_err = max_rel_err(heap_serial->result,
-                                            serial.result);
-            if (row.queue_rel_err != 0.0) all_equivalent = false;
-          } else if (with_full) {
-            measure_full(row, serial, queue);
-          }
+            row.alloc_per_event = (static_cast<double>(serial.allocs) -
+                                   static_cast<double>(one.allocs)) /
+                                  comm_delta;
+          cross_check(row, serial, sim::SolveMode::kSerial);
           cell_rows.push_back(row);
         }
         if (with_parallel) {
-          const Run parallel = timed_run(
-              trace, cluster, placement, *provider, scenario,
-              sim::RefreshMode::kIncremental, queue,
-              sim::SolveMode::kParallel, pool.get());
+          const Run parallel =
+              timed_run(trace, cluster, placement, *provider, scenario,
+                        sim::SolveMode::kParallel, pool.get());
           Row row;
-          row.queue = queue_name;
           row.solve = "parallel";
           row.threads = pool_threads;
           row.churn = churn;
           row.aborted = parallel.result.aborted_comms;
           row.makespan = parallel.result.makespan;
-          row.incremental_ms = parallel.wall_ms;
+          row.wall_ms = parallel.wall_ms;
           row.solve_rel_err = max_rel_err(serial.result, parallel.result);
           if (row.solve_rel_err != 0.0) all_equivalent = false;
           row.solve_speedup = parallel.wall_ms > 0.0
                                   ? serial.wall_ms / parallel.wall_ms
                                   : -1.0;
-          if (with_full) {
-            (void)timed_run(trace, cluster, placement, *provider, scenario,
-                            sim::RefreshMode::kCrossCheck, queue,
-                            sim::SolveMode::kParallel, pool.get());
-            row.crosscheck = true;
-          }
+          cross_check(row, parallel, sim::SolveMode::kParallel);
           cell_rows.push_back(row);
         }
-        return serial;
-      };
-
-      Run heap_serial;
-      bool have_heap_serial = false;
-      if (with_heap) {
-        heap_serial = run_queue_cell(sim::QueueMode::kHeap, "heap", nullptr);
-        have_heap_serial = with_serial || with_parallel;
-      }
-      if (with_scan && n <= max_scan) {
-        run_queue_cell(sim::QueueMode::kScan, "scan",
-                       have_heap_serial ? &heap_serial : nullptr);
-      }
       }  // churn axis
 
       for (const Row& row : cell_rows) {
-        const bool has_full = row.full_ms >= 0.0;
         std::printf(
-            "%-8s %-7d %-6s %-5s %-8s %10s %14.3f %9s %12s %13s %13s %13s"
-            " %11s %8s  %s\n",
-            pname.c_str(), n, strformat("%g", row.churn).c_str(), row.queue,
-            row.solve,
-            has_full ? strformat("%.3f", row.full_ms).c_str() : "-",
-            row.incremental_ms,
-            has_full ? strformat("%.2fx", row.speedup).c_str() : "-",
-            has_full ? strformat("%.3g", row.max_rel_err).c_str() : "-",
-            row.queue_rel_err >= 0.0
-                ? strformat("%.3g", row.queue_rel_err).c_str()
-                : "-",
+            "%-8s %-7d %-6s %-8s %10.3f %13s %13s %11s %8s  %s\n",
+            pname.c_str(), n, strformat("%g", row.churn).c_str(), row.solve,
+            row.wall_ms,
             row.solve_rel_err >= 0.0
                 ? strformat("%.3g", row.solve_rel_err).c_str()
                 : "-",
@@ -463,24 +369,15 @@ int main(int argc, char** argv) {
             "\n    {\"provider\": \"%s\", \"nodes\": %d, "
             "\"comms_per_round\": %d, \"rounds\": %d, \"seed\": %llu, "
             "\"churn_rate\": %s, \"aborted\": %zu, "
-            "\"queue\": \"%s\", \"solve\": \"%s\", \"threads\": %d, "
-            "\"refresh\": \"incremental\", "
-            "\"makespan\": %s, \"full_ms\": %s, \"incremental_ms\": %s, "
-            "\"speedup\": %s, \"max_rel_err\": %s, \"queue_rel_err\": %s, "
+            "\"solve\": \"%s\", \"threads\": %d, "
+            "\"makespan\": %s, \"wall_ms\": %s, "
             "\"solve_rel_err\": %s, \"solve_speedup\": %s, "
             "\"alloc_total\": %s, \"alloc_per_event\": %s, "
             "\"crosscheck\": %s}",
             pname.c_str(), n, n / 2, rounds,
             static_cast<unsigned long long>(seed),
-            json_num(row.churn).c_str(), row.aborted, row.queue, row.solve,
-            row.threads, json_num(row.makespan).c_str(),
-            row.full_ms >= 0.0 ? json_num(row.full_ms).c_str() : "null",
-            json_num(row.incremental_ms).c_str(),
-            row.speedup >= 0.0 ? json_num(row.speedup).c_str() : "null",
-            row.max_rel_err >= 0.0 ? json_num(row.max_rel_err).c_str()
-                                   : "null",
-            row.queue_rel_err >= 0.0 ? json_num(row.queue_rel_err).c_str()
-                                     : "null",
+            json_num(row.churn).c_str(), row.aborted, row.solve, row.threads,
+            json_num(row.makespan).c_str(), json_num(row.wall_ms).c_str(),
             row.solve_rel_err >= 0.0 ? json_num(row.solve_rel_err).c_str()
                                      : "null",
             row.solve_speedup >= 0.0 ? json_num(row.solve_speedup).c_str()
@@ -507,33 +404,29 @@ int main(int argc, char** argv) {
     if (!providers_json.empty()) providers_json += ", ";
     providers_json += "\"" + pname + "\"";
   }
-  std::string queues_json;
-  if (with_heap) queues_json += "\"heap\"";
-  if (with_scan) queues_json += queues_json.empty() ? "\"scan\"" : ", \"scan\"";
   std::string solves_json;
   if (with_serial) solves_json += "\"serial\"";
   if (with_parallel)
     solves_json += solves_json.empty() ? "\"parallel\"" : ", \"parallel\"";
 
   const std::string json = strformat(
-      "{\n  \"bench\": \"engine_scaling\",\n  \"schema_version\": 5,\n"
+      "{\n  \"bench\": \"engine_scaling\",\n  \"schema_version\": 6,\n"
       "  \"config\": {\"rounds\": %d, \"bytes\": %s, \"seed\": %llu, "
-      "\"max_full_nodes\": %ld, \"max_scan_nodes\": %ld, \"nodes\": [%s], "
-      "\"churn\": [%s], "
-      "\"providers\": [%s], \"queues\": [%s], \"solves\": [%s], "
+      "\"max_crosscheck_nodes\": %ld, \"nodes\": [%s], \"churn\": [%s], "
+      "\"providers\": [%s], \"solves\": [%s], "
       "\"threads\": %d},\n  \"results\": [%s\n  ]\n}\n",
       rounds, json_num(bytes).c_str(),
-      static_cast<unsigned long long>(seed), max_full, max_scan,
+      static_cast<unsigned long long>(seed), max_crosscheck,
       nodes_json.c_str(), churn_json.c_str(), providers_json.c_str(),
-      queues_json.c_str(), solves_json.c_str(),
+      solves_json.c_str(),
       with_parallel ? pool_threads : 1, rows.c_str());
   util::write_text_file(out_path, json);
   std::cout << "  [json written to " << out_path << "]\n";
 
   if (!all_equivalent) {
-    std::cerr << "error: engine configurations diverged (full vs "
-                 "incremental beyond 1e-9 relative, scan not bit-identical "
-                 "to heap, or parallel solve not bit-identical to serial)\n";
+    std::cerr << "error: engine configurations diverged (a cross-check "
+                 "replay or a parallel solve not bit-identical to its "
+                 "serial twin)\n";
     return 1;
   }
   return 0;

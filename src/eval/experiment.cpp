@@ -50,11 +50,9 @@ ApplicationComparisonDetailed compare_application_detailed(
   summary.placement =
       sim::make_placement(policy, cluster, trace.num_tasks(), seed);
 
-  // Both replays default to the engine's defaults: incremental
-  // component-scoped refresh and the event-core finish-time heap
-  // (docs/PERFORMANCE.md) — sweep grids over large clusters would otherwise
-  // spend nearly all their time in full per-event re-solves and
-  // next-completion scans.
+  // Both replays run the engine's one execution path: incremental
+  // component-scoped refresh on the event-core finish-time heap
+  // (docs/PERFORMANCE.md).
   const flowsim::FluidRateProvider measured_provider(cluster.network());
   auto measured = std::make_shared<sim::SimResult>(
       sim::run_simulation(trace, cluster, summary.placement,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <unordered_map>
 
 #include "util/error.hpp"
 
@@ -39,130 +37,6 @@ std::vector<int> RateProvider::coupling_keys(topo::NodeId /*src*/,
   return {};
 }
 
-bool RateProvider::covers_all(std::span<const graph::CommId> subset,
-                              int size) {
-  if (static_cast<int>(subset.size()) != size) return false;
-  for (size_t k = 0; k < subset.size(); ++k)
-    if (subset[k] != static_cast<graph::CommId>(k)) return false;
-  return true;
-}
-
-std::vector<graph::CommId> RateProvider::coupling_closure(
-    const graph::CommGraph& active,
-    std::span<const graph::CommId> subset) const {
-  const int n = active.size();
-  util::Arena& arena = util::Arena::thread_local_instance();
-  util::Arena::Frame frame(arena);
-
-  // Node incidence as sorted-bucket arrays in the arena (the former
-  // unordered_map<NodeId, vector> table). Intra-node comms contribute their
-  // node once, matching the previous dedup of src == dst.
-  auto node_buf =
-      arena.make_span_uninit<topo::NodeId>(2 * static_cast<size_t>(n));
-  size_t nn = 0;
-  for (graph::CommId i = 0; i < n; ++i) {
-    const auto& c = active.comm(i);
-    node_buf[nn++] = c.src;
-    if (c.dst != c.src) node_buf[nn++] = c.dst;
-  }
-  std::sort(node_buf.begin(), node_buf.begin() + nn);
-  const size_t m = static_cast<size_t>(
-      std::unique(node_buf.begin(), node_buf.begin() + nn) - node_buf.begin());
-  const auto nodes = node_buf.first(m);
-  const auto node_idx = [&](topo::NodeId v) {
-    return static_cast<size_t>(
-        std::lower_bound(nodes.begin(), nodes.end(), v) - nodes.begin());
-  };
-  auto node_off = arena.make_span<int>(m + 1);
-  for (graph::CommId i = 0; i < n; ++i) {
-    const auto& c = active.comm(i);
-    ++node_off[node_idx(c.src) + 1];
-    if (c.dst != c.src) ++node_off[node_idx(c.dst) + 1];
-  }
-  for (size_t k = 0; k < m; ++k) node_off[k + 1] += node_off[k];
-  auto at_node = arena.make_span_uninit<graph::CommId>(nn);
-  {
-    auto cur = arena.make_span_uninit<int>(m);
-    std::copy(node_off.begin(), node_off.begin() + static_cast<long>(m),
-              cur.begin());
-    for (graph::CommId i = 0; i < n; ++i) {
-      const auto& c = active.comm(i);
-      at_node[static_cast<size_t>(cur[node_idx(c.src)]++)] = i;
-      if (c.dst != c.src)
-        at_node[static_cast<size_t>(cur[node_idx(c.dst)]++)] = i;
-    }
-  }
-
-  // Per-comm coupling keys, flattened. coupling_keys is a virtual returning
-  // a vector — the one allocation this path keeps; the incidence table over
-  // the keys is arena-backed (sorted (key, comm) pairs, grouped by key).
-  struct KeyUse {
-    int key;
-    graph::CommId comm;
-    bool operator<(const KeyUse& o) const {
-      return key != o.key ? key < o.key : comm < o.comm;
-    }
-  };
-  std::vector<KeyUse> key_uses;
-  auto key_off = arena.make_span<int>(static_cast<size_t>(n) + 1);
-  for (graph::CommId i = 0; i < n; ++i) {
-    const auto& c = active.comm(i);
-    for (const int k : coupling_keys(c.src, c.dst))
-      key_uses.push_back({k, i});
-    key_off[static_cast<size_t>(i) + 1] = static_cast<int>(key_uses.size());
-  }
-  // key_uses is in comm order here: [key_off[i], key_off[i+1]) are comm i's
-  // keys. Keep that view and sort an arena copy into key-grouped order.
-  auto by_key = arena.make_span_uninit<KeyUse>(key_uses.size());
-  std::copy(key_uses.begin(), key_uses.end(), by_key.begin());
-  std::sort(by_key.begin(), by_key.end());
-  const auto key_bucket = [&](int key) {
-    const auto lo = std::lower_bound(
-        by_key.begin(), by_key.end(),
-        KeyUse{key, std::numeric_limits<graph::CommId>::min()});
-    auto hi = lo;
-    while (hi != by_key.end() && hi->key == key) ++hi;
-    return std::span<const KeyUse>{lo, hi};
-  };
-
-  auto in = arena.make_span<char>(static_cast<size_t>(n));
-  auto stack = arena.make_span_uninit<graph::CommId>(static_cast<size_t>(n));
-  size_t top = 0;
-  for (const graph::CommId id : subset) {
-    BWS_CHECK(id >= 0 && id < n, "subset comm id out of range");
-    if (!in[static_cast<size_t>(id)]) {
-      in[static_cast<size_t>(id)] = 1;
-      stack[top++] = id;
-    }
-  }
-  while (top > 0) {
-    const graph::CommId i = stack[--top];
-    const auto visit = [&](graph::CommId j) {
-      if (in[static_cast<size_t>(j)]) return;
-      in[static_cast<size_t>(j)] = 1;
-      stack[top++] = j;
-    };
-    const auto& c = active.comm(i);
-    const size_t s = node_idx(c.src);
-    for (int p = node_off[s]; p < node_off[s + 1]; ++p)
-      visit(at_node[static_cast<size_t>(p)]);
-    if (c.dst != c.src) {
-      const size_t d = node_idx(c.dst);
-      for (int p = node_off[d]; p < node_off[d + 1]; ++p)
-        visit(at_node[static_cast<size_t>(p)]);
-    }
-    for (int p = key_off[static_cast<size_t>(i)];
-         p < key_off[static_cast<size_t>(i) + 1]; ++p)
-      for (const KeyUse& u : key_bucket(key_uses[static_cast<size_t>(p)].key))
-        visit(u.comm);
-  }
-
-  std::vector<graph::CommId> closed;
-  for (graph::CommId i = 0; i < n; ++i)
-    if (in[static_cast<size_t>(i)]) closed.push_back(i);
-  return closed;
-}
-
 FluidRateProvider::FluidRateProvider(topo::NetworkCalibration cal,
                                      std::optional<topo::FatTree> topology)
     : cal_(cal), topology_(std::move(topology)) {
@@ -170,99 +44,6 @@ FluidRateProvider::FluidRateProvider(topo::NetworkCalibration cal,
   BWS_CHECK(cal_.single_stream_efficiency > 0.0 &&
                 cal_.single_stream_efficiency <= 1.0,
             "single-stream efficiency must be in (0,1]");
-}
-
-AllocationProblem FluidRateProvider::build_problem(
-    const graph::CommGraph& active) const {
-  const int n = active.size();
-  const double link = cal_.link_bandwidth;
-
-  AllocationProblem problem;
-  problem.num_flows = n;
-  problem.weights.assign(static_cast<size_t>(n), 1.0);
-  problem.caps.assign(static_cast<size_t>(n), 0.0);
-
-  // Group flows by endpoint. Keyed by node id; .first = TX members,
-  // .second = RX members (network flows only).
-  std::map<topo::NodeId, std::vector<FlowIndex>> tx_at;
-  std::map<topo::NodeId, std::vector<FlowIndex>> rx_at;
-  std::map<topo::NodeId, std::vector<FlowIndex>> shm_at;
-  for (graph::CommId i = 0; i < n; ++i) {
-    const auto& c = active.comm(i);
-    if (active.is_intra_node(i)) {
-      shm_at[c.src].push_back(i);
-      problem.caps[static_cast<size_t>(i)] = cal_.shm_bandwidth;
-      continue;
-    }
-    tx_at[c.src].push_back(i);
-    rx_at[c.dst].push_back(i);
-    problem.caps[static_cast<size_t>(i)] =
-        link * cal_.single_stream_efficiency;
-  }
-
-  // Host duplex saturation: the NIC's DMA path degrades to ~duplex_factor x
-  // link only under heavy bidirectional load — at least three flows with
-  // both directions active (fig 2 scheme 5's income/outgo anomaly). Mild
-  // bidirectional traffic (e.g. a ring, or 2 TX + 1 RX) runs at full duplex,
-  // which is why the paper's same-direction conflict models stay accurate on
-  // the fig-7 graphs.
-  const auto duplex_saturated = [&](topo::NodeId node) {
-    const auto tx_it = tx_at.find(node);
-    const auto rx_it = rx_at.find(node);
-    if (tx_it == tx_at.end() || rx_it == rx_at.end()) return false;
-    const size_t tx_n = tx_it->second.size();
-    const size_t rx_n = rx_it->second.size();
-    return tx_n + rx_n >= 4 && tx_n >= 1 && rx_n >= 1;
-  };
-
-  // RX weighting: a receive flow entering a duplex-saturated host gets
-  // priority on the shared bus (Stop&Go / credit FC favour the receive DMA
-  // engine; see topo/network.hpp).
-  for (const auto& [node, rx] : rx_at) {
-    if (!duplex_saturated(node)) continue;
-    for (FlowIndex f : rx)
-      problem.weights[static_cast<size_t>(f)] = cal_.rx_bus_weight;
-  }
-
-  // Host TX link (one direction of the cable).
-  for (const auto& [node, members] : tx_at)
-    problem.resources.push_back(Resource{link, members});
-  // Host RX link.
-  for (const auto& [node, members] : rx_at)
-    problem.resources.push_back(Resource{link, members});
-  // Host duplex bus when saturated.
-  for (const auto& [node, tx] : tx_at) {
-    if (!duplex_saturated(node)) continue;
-    Resource bus{link * cal_.host_duplex_factor, tx};
-    const auto& rx = rx_at.at(node);
-    bus.members.insert(bus.members.end(), rx.begin(), rx.end());
-    problem.resources.push_back(std::move(bus));
-  }
-  // Shared-memory engine per node for intra-node copies.
-  for (const auto& [node, members] : shm_at)
-    problem.resources.push_back(Resource{cal_.shm_bandwidth, members});
-
-  // Fat-tree inner links, when a topology is attached.
-  if (topology_) {
-    std::map<topo::LinkId, std::vector<FlowIndex>> on_link;
-    for (graph::CommId i = 0; i < n; ++i) {
-      if (active.is_intra_node(i)) continue;
-      const auto& c = active.comm(i);
-      for (topo::LinkId l : topology_->route(c.src, c.dst)) {
-        // Host up/down links are already modelled above; only inner links
-        // add information.
-        if (l == topology_->host_uplink(c.src) ||
-            l == topology_->host_downlink(c.dst))
-          continue;
-        on_link[l].push_back(i);
-      }
-    }
-    for (const auto& [l, members] : on_link)
-      problem.resources.push_back(
-          Resource{topology_->link(l).capacity, members});
-  }
-
-  return problem;
 }
 
 std::vector<double> FluidRateProvider::rates(
@@ -287,11 +68,9 @@ void FluidRateProvider::rates_into(const graph::CommGraph& active,
   auto caps = scratch.make_span_uninit<double>(static_cast<size_t>(n));
   auto intra = scratch.make_span_uninit<char>(static_cast<size_t>(n));
 
-  // Sorted-unique endpoint node table — the arena stand-in for the three
-  // std::map<NodeId, vector<FlowIndex>> incidence maps of build_problem().
-  // Iterating node indices ascending reproduces the maps' ascending-key
-  // order exactly, which pins the resource ordering (and thus bitwise
-  // results) to the vector path.
+  // Sorted-unique endpoint node table. Iterating node indices ascending
+  // gives every per-node resource group in ascending node id, which pins
+  // the resource ordering (and thus the bitwise result).
   auto node_buf =
       scratch.make_span_uninit<topo::NodeId>(2 * static_cast<size_t>(n));
   size_t nn = 0;
@@ -316,8 +95,9 @@ void FluidRateProvider::rates_into(const graph::CommGraph& active,
         std::lower_bound(nodes.begin(), nodes.end(), v) - nodes.begin());
   };
 
-  // Per-node member buckets (counts -> prefix offsets -> fill in comm order,
-  // matching the push_back order of the map-based construction).
+  // Per-node member buckets (counts -> prefix offsets -> fill in comm
+  // order): TX and RX members of network flows, shm members of intra-node
+  // copies.
   auto tx_n = scratch.make_span<int>(m);
   auto rx_n = scratch.make_span<int>(m);
   auto shm_n = scratch.make_span<int>(m);
@@ -374,12 +154,19 @@ void FluidRateProvider::rates_into(const graph::CommGraph& active,
         rx_members.data() + rx_off[k], static_cast<size_t>(rx_n[k]));
   };
 
-  // Host duplex saturation (see build_problem for the modelling rationale).
+  // Host duplex saturation: the NIC's DMA path degrades to ~duplex_factor x
+  // link only under heavy bidirectional load — at least four flows with
+  // both directions active (fig 2 scheme 5's income/outgo anomaly). Mild
+  // bidirectional traffic (e.g. a ring, or 2 TX + 1 RX) runs at full duplex,
+  // which is why the paper's same-direction conflict models stay accurate on
+  // the fig-7 graphs.
   auto sat = scratch.make_span_uninit<char>(m);
   for (size_t k = 0; k < m; ++k)
     sat[k] = (tx_n[k] >= 1 && rx_n[k] >= 1 && tx_n[k] + rx_n[k] >= 4) ? 1 : 0;
 
-  // RX weighting at duplex-saturated hosts.
+  // RX weighting: a receive flow entering a duplex-saturated host gets
+  // priority on the shared bus (Stop&Go / credit FC favour the receive DMA
+  // engine; see topo/network.hpp).
   for (size_t k = 0; k < m; ++k) {
     if (!(rx_n[k] > 0 && sat[k])) continue;
     for (const FlowIndex f : rx_bucket(k))
@@ -388,7 +175,8 @@ void FluidRateProvider::rates_into(const graph::CommGraph& active,
 
   // Fat-tree inner links: (link, comm) pairs collected in comm order, then
   // sorted by (link, comm) — groups come out in ascending link id with
-  // members in comm order, matching the std::map<LinkId, vector> ordering.
+  // members in comm order. Host up/down links are already modelled by the
+  // host TX/RX resources; only inner links add information.
   struct LinkUse {
     topo::LinkId link;
     graph::CommId comm;
@@ -416,7 +204,7 @@ void FluidRateProvider::rates_into(const graph::CommGraph& active,
         ++n_link_groups;
   }
 
-  // Resource table, in build_problem order: host TX per node, host RX per
+  // Resource table, in the documented order: host TX per node, host RX per
   // node, duplex bus at saturated nodes, shm engine per node, inner links.
   size_t n_res = n_link_groups;
   size_t dup_total = 0;
@@ -484,29 +272,6 @@ std::vector<int> FluidRateProvider::coupling_keys(topo::NodeId src,
     keys.push_back(l);
   }
   return keys;
-}
-
-std::vector<double> FluidRateProvider::rates(
-    const graph::CommGraph& active,
-    std::span<const graph::CommId> subset) const {
-  if (subset.empty()) return {};
-  // Common fast path (the engine hands us a self-contained component
-  // graph): no induction needed.
-  if (covers_all(subset, active.size())) return rates(active);
-
-  // Expand to the coupling closure — shared endpoints, plus shared fat-tree
-  // inner links when a topology is attached (via coupling_keys) — solve the
-  // closed set in isolation, and project back. Never ignore a shared link.
-  const auto closed = coupling_closure(active, subset);
-  std::vector<size_t> pos_of(static_cast<size_t>(active.size()), 0);
-  for (size_t p = 0; p < closed.size(); ++p)
-    pos_of[static_cast<size_t>(closed[p])] = p;
-  const auto closed_rates = rates(graph::induced_subgraph(active, closed));
-  std::vector<double> out;
-  out.reserve(subset.size());
-  for (const graph::CommId id : subset)
-    out.push_back(closed_rates[pos_of[static_cast<size_t>(id)]]);
-  return out;
 }
 
 std::vector<double> measure_scheme(const graph::CommGraph& graph,

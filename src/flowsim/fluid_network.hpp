@@ -8,9 +8,10 @@
 // in flowsim/packet.hpp, which agree with the fluid model within a few
 // percent — see bench/abl_fluid_vs_packet).
 //
-// See docs/PERFORMANCE.md for the component-restricted solving contract
-// (`rates(active, subset)` / `coupling_keys`) that the incremental
-// sim::Engine builds on, and the invariants a subset must satisfy.
+// See docs/PERFORMANCE.md for the locality contract the incremental
+// sim::Engine builds on: it groups transfers into components closed under
+// shared endpoints and coupling_keys(), and solves each component's induced
+// graph alone through rates_into().
 #pragma once
 
 #include <optional>
@@ -33,10 +34,10 @@ namespace bwshare::flowsim {
 /// Reentrancy contract: every entry point is const and must be *logically*
 /// const — no mutable members, no static or global scratch, no caching.
 /// sim::Engine's parallel flush (EngineConfig::solve == kParallel) calls
-/// rates(active, subset) concurrently from several pool threads, one call
-/// per disjoint component, against the same provider instance. Concurrent
-/// calls over disjoint subsets must behave as if run one after another —
-/// which const purity gives for free. The in-tree providers satisfy this by
+/// rates_into(component_graph, ...) concurrently from several pool threads,
+/// one call per disjoint component, against the same provider instance.
+/// Concurrent calls must behave as if run one after another — which const
+/// purity gives for free. The in-tree providers satisfy this by
 /// construction (all solver state lives on the calling thread's stack);
 /// new implementations must preserve it, or kParallel replays race. The
 /// TSan CI job exercises exactly this path.
@@ -58,16 +59,12 @@ class RateProvider {
   virtual void rates_into(const graph::CommGraph& active, util::Arena& scratch,
                           std::span<double> out) const;
 
-  /// Component-restricted entry point: rates for `subset` only (returned in
-  /// subset order), always equal to the corresponding entries of
-  /// rates(active). A restricted solve is exact when the solved set is
-  /// closed under shared endpoints — every communication of `active` that
-  /// shares a node with a member is itself a member — and under any extra
-  /// coupling the provider declares via coupling_keys(); implementations
-  /// therefore expand `subset` to its coupling closure before solving
-  /// (a no-op for the already-closed components the simulator hands in).
-  /// The base default solves the full graph and projects. See
-  /// docs/PERFORMANCE.md.
+  /// Rates for `subset` only (returned in subset order), equal to the
+  /// corresponding entries of rates(active): the default solves the full
+  /// graph and projects. No in-tree provider overrides it and the engine
+  /// never calls it — it solves each closed component's induced graph
+  /// through rates_into() instead. It stays as the extension point for
+  /// decorating providers.
   [[nodiscard]] virtual std::vector<double> rates(
       const graph::CommGraph& active,
       std::span<const graph::CommId> subset) const;
@@ -75,24 +72,12 @@ class RateProvider {
   /// Opaque keys of shared resources beyond the two endpoint hosts that a
   /// src -> dst communication would occupy (e.g. fat-tree inner links). Two
   /// communications whose key sets intersect must be solved in the same
-  /// component even when they share no endpoint. The default declares no
-  /// extra coupling.
+  /// component even when they share no endpoint. Locality contract: solving
+  /// the induced graph of a set closed under shared endpoints and shared
+  /// keys alone yields that set's entries of the full solve. The default
+  /// declares no extra coupling.
   [[nodiscard]] virtual std::vector<int> coupling_keys(
       topo::NodeId src, topo::NodeId dst) const;
-
- protected:
-  /// True when `subset` is exactly 0..size-1 — the engine's common case,
-  /// where a restricted solve needs no induction at all.
-  [[nodiscard]] static bool covers_all(std::span<const graph::CommId> subset,
-                                       int size);
-
-  /// Smallest superset of `subset` closed under shared endpoints and shared
-  /// coupling_keys() within `active`, in ascending comm-id order (BFS over
-  /// node/key incidence, O(comms + keys)). Solving the closure in isolation
-  /// is exact, so restricted entry points expand first and project back.
-  [[nodiscard]] std::vector<graph::CommId> coupling_closure(
-      const graph::CommGraph& active,
-      std::span<const graph::CommId> subset) const;
 };
 
 /// Max-min fluid rates under a network calibration, optionally constrained
@@ -107,20 +92,15 @@ class FluidRateProvider final : public RateProvider {
 
   /// Arena-backed full-graph solve: the incidence buckets, member lists,
   /// weights/caps and the max-min solver's own scratch all live in `scratch`;
-  /// after arena warm-up a call makes zero global allocations (the vector
-  /// rates() overloads are wrappers over this). Resource construction order
-  /// replicates build_problem() exactly (ascending node id, then ascending
-  /// inner-link id), so results are bitwise equal to the vector path.
+  /// after arena warm-up a call makes zero global allocations (rates() is a
+  /// wrapper over this). Resources are built in a fixed order — host TX per
+  /// node, host RX per node, duplex bus at saturated nodes, shm engine per
+  /// node (each by ascending node id), then fat-tree inner links by
+  /// ascending link id — with members in comm order, which pins the bitwise
+  /// result (tests/flowsim/test_fluid_network.cpp keeps a map-based
+  /// reference construction of the same problem).
   void rates_into(const graph::CommGraph& active, util::Arena& scratch,
                   std::span<double> out) const override;
-
-  /// Solves the induced subproblem of `subset`'s coupling closure and
-  /// projects back. With an attached fat-tree topology the closure also
-  /// merges components coupled through shared inner links (coupling_keys),
-  /// so a restricted solve never silently ignores a shared link.
-  [[nodiscard]] std::vector<double> rates(
-      const graph::CommGraph& active,
-      std::span<const graph::CommId> subset) const override;
 
   /// Inner (non host-adjacent) fat-tree links on the src -> dst route; empty
   /// without an attached topology.
@@ -130,10 +110,6 @@ class FluidRateProvider final : public RateProvider {
   [[nodiscard]] const topo::NetworkCalibration& calibration() const {
     return cal_;
   }
-
-  /// Expose the constructed allocation problem (tests/ablation).
-  [[nodiscard]] AllocationProblem build_problem(
-      const graph::CommGraph& active) const;
 
  private:
   topo::NetworkCalibration cal_;

@@ -106,8 +106,9 @@ class CommGraph {
 /// Subgraph containing exactly the listed communications, in `ids` order,
 /// with labels and endpoints preserved. Degrees computed on the subgraph
 /// match the full graph whenever `ids` is closed under shared endpoints —
-/// the invariant behind component-restricted rate solving (see
-/// flowsim::RateProvider::rates(active, subset) and docs/PERFORMANCE.md).
+/// the invariant behind component-restricted rate solving (see the
+/// locality contract at flowsim::RateProvider::coupling_keys and
+/// docs/PERFORMANCE.md).
 [[nodiscard]] CommGraph induced_subgraph(const CommGraph& graph,
                                          std::span<const CommId> ids);
 

@@ -128,8 +128,9 @@ CanonicalQuery canonicalize(const Query& q) {
   h.mix_u64(cq.seed_live ? cq.seed : 0);
   // The engine semantics every served replay runs under (the defaults — no
   // knob exposes them yet). Hashed so exposing one later cannot alias onto
-  // fingerprints minted before. Execution strategy (refresh/queue/solve) is
-  // excluded on purpose: bit-identical by the engine contract.
+  // fingerprints minted before. Execution strategy (solve mode, pool,
+  // cross_check, solve memo) is excluded on purpose: bit-identical by the
+  // engine contract.
   const sim::EngineConfig engine;
   h.mix_f64(engine.eager_threshold);
   h.mix_f64(engine.barrier_cost);

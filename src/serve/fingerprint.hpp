@@ -19,7 +19,7 @@
 //   * the seed, when it cannot affect the replay (placement policy is
 //     deterministic and no churn/background script is drawn) — it is
 //     canonicalized to 0 so "seed":7 and "seed":9 share a cache line;
-//   * execution strategy (refresh/queue/solve modes, thread counts): the
+//   * execution strategy (solve mode, thread counts, cross_check): the
 //     engine contract makes those bit-identical, so caching across them is
 //     exactly as safe as caching across repeats.
 //

@@ -122,8 +122,8 @@ struct Transfer {
   bool background = false;       // task-less injected flow; src/dst unused
   bool alive = false;
   int component = -1;
-  /// Entry in the finish-time queue (QueueMode::kHeap). Stable across
-  /// component dissolve/regroup — only a re-solve that changes finish_pred
+  /// Entry in the finish-time queue. Stable across component
+  /// dissolve/regroup — only a re-solve that changes finish_pred
   /// re-keys it, and only completion erases it.
   core::EventHandle qh = core::kNullEventHandle;
 };
@@ -169,7 +169,7 @@ struct Component {
 /// One scripted scenario event, merged from Scenario::churn and
 /// Scenario::background in declaration order. Replayed off a dedicated
 /// core::EventQueue keyed by (time, script index) — the same sequence under
-/// every RefreshMode / QueueMode / SolveMode.
+/// every SolveMode, with or without cross_check.
 struct ScriptEvent {
   enum class Kind { kJoin, kLeave, kFail, kFlow };
   Kind kind = Kind::kFlow;
@@ -256,7 +256,6 @@ class Engine {
   SimResult run() {
     // Drive every task as far as it can go, then hop to the next event.
     for (TaskId t = 0; t < trace_.num_tasks(); ++t) advance_task(t);
-    const bool heap = cfg_.queue == QueueMode::kHeap;
     while (num_done_ < trace_.num_tasks()) {
       // Flush point: solve every component the last event cascade dirtied,
       // before any prediction below is read. The clock has not moved since
@@ -265,23 +264,17 @@ class Engine {
       // A predicted finish can sit in the past (a barrier cost overshot
       // it); the transfer then completes, late, at the current time.
       const double next_compute =
-          heap ? (compute_q_.empty()
-                      ? kInf
-                      : std::max(compute_q_.top_time(), now()))
-               : earliest_compute_end();
+          compute_q_.empty() ? kInf : std::max(compute_q_.top_time(), now());
       const double next_transfer =
-          heap ? (transfer_q_.empty()
-                      ? kInf
-                      : std::max(transfer_q_.top_time(), now()))
-               : earliest_transfer_end();
-      // Scenario scripts ride their own queue in both QueueModes; like a
-      // predicted finish, a scripted time can sit in the past after a
-      // barrier cost overshot it.
+          transfer_q_.empty() ? kInf
+                              : std::max(transfer_q_.top_time(), now());
+      // Scenario scripts ride their own queue; like a predicted finish, a
+      // scripted time can sit in the past after a barrier cost overshot it.
       const double next_script =
           script_q_.empty() ? kInf : std::max(script_q_.top_time(), now());
-      if (heap && cfg_.refresh == RefreshMode::kCrossCheck) {
-        // Queue-order equivalence: the heap's next-event times must match
-        // the legacy scans exactly, at every event.
+      if (cfg_.cross_check) {
+        // cross_check (c): the heap's next-event times must match the
+        // reference scans exactly, at every event.
         BWS_CHECK(earliest_compute_end() == next_compute,
                   strformat("event queue diverged from scan on the next "
                             "compute wake-up: heap %.17g vs scan %.17g at "
@@ -295,9 +288,10 @@ class Engine {
       const double next = std::min({next_compute, next_transfer, next_script});
       BWS_CHECK(next < kInf, deadlock_message());
       BWS_CHECK(next <= cfg_.max_time, "simulation exceeded max_time");
+      BWS_ASSERT(dirty_.empty(), "clock advanced past an unflushed component");
       clock_.advance_to(next);
       // Script events fire first at equal times: a failure at t aborts
-      // transfers before a same-t completion is chosen, in every mode.
+      // transfers before a same-t completion is chosen.
       if (next_script <= next) {
         process_script_event();
       } else if (next_transfer <= next_compute) {
@@ -319,14 +313,13 @@ class Engine {
   // --- task stepping -------------------------------------------------------
 
   /// Put `t` to sleep until `until` (a compute burst, or modelled receive
-  /// latency): the state bookkeeping plus, in heap mode, the wake-up queue
-  /// entry. A computing task owns exactly one compute_q_ entry, popped when
-  /// it wakes — nothing ever re-keys it.
+  /// latency): the state bookkeeping plus the wake-up queue entry. A
+  /// computing task owns exactly one compute_q_ entry, popped when it wakes
+  /// — nothing ever re-keys it.
   void begin_compute(TaskId t, double until) {
     state_[static_cast<size_t>(t)] = TaskState::kComputing;
     ready_at_[static_cast<size_t>(t)] = until;
-    if (cfg_.queue == QueueMode::kHeap)
-      compute_q_.push(until, static_cast<uint64_t>(t), t);
+    compute_q_.push(until, static_cast<uint64_t>(t), t);
   }
 
   void advance_task(TaskId t) {
@@ -481,6 +474,7 @@ class Engine {
     // now — its members would otherwise integrate bytes across the cost
     // interval at stale rates.
     flush_refresh();
+    BWS_ASSERT(dirty_.empty(), "clock advanced past an unflushed component");
     clock_.advance_by(cfg_.barrier_cost);
     for (TaskId u = 0; u < trace_.num_tasks(); ++u)
       if (state_[static_cast<size_t>(u)] == TaskState::kReady) advance_task(u);
@@ -539,20 +533,17 @@ class Engine {
     tr.alive = true;
     set_slot_keys(slot);
     // The finish-time index entry lives as long as the transfer does; the
-    // refresh below re-keys it to the first real prediction.
-    if (cfg_.queue == QueueMode::kHeap)
-      tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(tr.record), slot);
+    // next flush re-keys it to the first real prediction.
+    tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(tr.record), slot);
     result_.comms[ps.record].start = now();
     ++num_active_;
     attach_transfer(slot);
-    refresh_rates();
   }
 
   // --- scenario scripts ----------------------------------------------------
 
   /// Pop and apply the next scripted event. One event per main-loop turn, so
-  /// every flush point between same-time script events is honoured exactly
-  /// the same way in all refresh modes.
+  /// a flush point separates every pair of same-time script events.
   void process_script_event() {
     BWS_ASSERT(!script_q_.empty(), "no script event pending");
     const size_t idx = script_q_.top();
@@ -578,8 +569,8 @@ class Engine {
   }
 
   /// Crash semantics: every in-flight transfer with an endpoint on the
-  /// failed node aborts at the event time, in posting (record) order so all
-  /// refresh/queue/solve modes observe the same cascade.
+  /// failed node aborts at the event time, in posting (record) order so the
+  /// cascade is independent of slot reuse.
   void fail_node(int node) {
     aborting_.clear();
     for (size_t s = 0; s < transfers_.size(); ++s) {
@@ -613,10 +604,7 @@ class Engine {
     rec.penalty = ref > 0.0 ? (rec.finish - rec.start) / ref : 1.0;
     ++result_.aborted_comms;
 
-    if (tr.background) {
-      refresh_rates();
-      return;
-    }
+    if (tr.background) return;
     if (tr.rendezvous) {
       auto& stats = result_.tasks[static_cast<size_t>(tr.src)];
       rec.sender_time = now() - rec.send_post;
@@ -636,7 +624,6 @@ class Engine {
       state_[static_cast<size_t>(tr.dst)] = TaskState::kReady;
     }
 
-    refresh_rates();
     if (state_[static_cast<size_t>(tr.src)] == TaskState::kReady)
       advance_task(tr.src);
     if (state_[static_cast<size_t>(tr.dst)] == TaskState::kReady)
@@ -676,11 +663,9 @@ class Engine {
     tr.advance_time = now();
     tr.alive = true;
     set_slot_keys(slot);
-    if (cfg_.queue == QueueMode::kHeap)
-      tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(tr.record), slot);
+    tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(tr.record), slot);
     ++num_active_;
     attach_transfer(slot);
-    refresh_rates();
   }
 
   // --- component tracking --------------------------------------------------
@@ -814,10 +799,8 @@ class Engine {
     const int c = tr.component;
     auto& members = components_[static_cast<size_t>(c)].members;
     members.erase(std::find(members.begin(), members.end(), slot));
-    if (cfg_.queue == QueueMode::kHeap) {
-      transfer_q_.erase(tr.qh);
-      tr.qh = core::kNullEventHandle;
-    }
+    transfer_q_.erase(tr.qh);
+    tr.qh = core::kNullEventHandle;
     tr.alive = false;
     tr.component = -1;
     slot_keys_[slot].clear();  // keeps capacity for reuse
@@ -865,32 +848,20 @@ class Engine {
     for (const size_t s : loose_) attach_transfer(s);
   }
 
-  /// Event handlers call this after mutating the active set. Only kFull
-  /// re-solves immediately (the reference behaviour). The incremental modes
-  /// defer: dirty components accumulate until the next flush point — the
+  /// Solve everything dirtied since the last flush. Event handlers only
+  /// mark components dirty; the solves wait for the next flush point — the
   /// top of the event loop, or just before a barrier cost advances the
-  /// clock. The clock cannot move in between, so deferral is unobservable;
-  /// what it buys is batching, e.g. a barrier release posting N transfers
-  /// yields ONE flush with N disjoint dirty components, which is the fan-out
+  /// clock. The clock cannot move in between (both clock advances assert
+  /// `dirty_` is empty), so deferral is unobservable; what it buys is
+  /// batching, e.g. a barrier release posting N transfers yields ONE flush
+  /// with N disjoint dirty components, which is the fan-out
   /// SolveMode::kParallel feeds to the pool.
-  void refresh_rates() {
-    if (cfg_.refresh == RefreshMode::kFull) refresh_full();
-  }
-
-  /// Solve everything dirtied since the last flush. See refresh_rates().
   void flush_refresh() {
-    switch (cfg_.refresh) {
-      case RefreshMode::kFull:
-        break;  // refresh_rates() already re-solved eagerly
-      case RefreshMode::kIncremental:
-        resolve_dirty();
-        break;
-      case RefreshMode::kCrossCheck:
-        resolve_dirty();
-        cross_check();
-        check_queue_keys();
-        break;
-    }
+    resolve_dirty();
+    if (!cfg_.cross_check) return;
+    check_committed_rates();
+    check_whole_set_solve();
+    check_queue_keys();
   }
 
   /// Regroup the dirty components, then solve each one and commit the
@@ -911,9 +882,10 @@ class Engine {
       if (!comp.alive || !comp.dirty) continue;
       comp.dirty = false;
       if (comp.members.empty()) continue;
-      // Members in posting (record) order: the restricted problem's flow
-      // ordering then matches refresh_full()'s, keeping the two refresh
-      // modes' arithmetic identical.
+      // Members in posting (record) order: the component's flow ordering
+      // (and thus its arithmetic) is then a function of its content, not of
+      // the attach/merge history — the order check_committed_rates()
+      // re-solves in.
       std::sort(comp.members.begin(), comp.members.end(),
                 [&](size_t a, size_t b) {
                   return transfers_[a].record < transfers_[b].record;
@@ -960,32 +932,13 @@ class Engine {
         compute_component_rates(solve_list_[i], staged(i));
     }
 
-    if (parallel && cfg_.refresh == RefreshMode::kCrossCheck) {
-      // Parallel-solve oracle: every component the pool solved is re-solved
-      // serially on this thread; any bit of divergence fails the replay.
-      for (size_t i = 0; i < solve_list_.size(); ++i) {
-        const std::span<const double> got = staged(i);
-        oracle_rates_.resize(got.size());
-        compute_component_rates(solve_list_[i], oracle_rates_);
-        for (size_t k = 0; k < got.size(); ++k) {
-          BWS_CHECK(got[k] == oracle_rates_[k],
-                    strformat("parallel solve diverged from serial: "
-                              "component %d member %zu rate %.17g vs %.17g "
-                              "at t=%.9g",
-                              solve_list_[i], k, got[k], oracle_rates_[k],
-                              now()));
-        }
-      }
-    }
-
     for (size_t i = 0; i < solve_list_.size(); ++i)
       commit_component(solve_list_[i], staged(i));
   }
 
-  /// Compute phase of one component solve: build the induced communication
-  /// graph of the component's members and hand it to the provider's
-  /// component-restricted entry point. Reads shared state strictly const —
-  /// safe to run concurrently with other components' compute phases.
+  /// Compute phase of one component solve (see solve_fresh()). Reads shared
+  /// state strictly const — safe to run concurrently with other components'
+  /// compute phases.
   ///
   /// With EngineConfig::solve_memo set, the induced subproblem is first
   /// hashed — (salt, then per member: src node, dst node, remaining-bytes
@@ -998,29 +951,12 @@ class Engine {
   void compute_component_rates(int c, std::span<double> out) const {
     const auto& comp = components_[static_cast<size_t>(c)];
     BWS_ASSERT(out.size() == comp.members.size(), "rate size mismatch");
-    SolveScratch& scratch = solve_scratch();
-    const auto solve_fresh = [&](std::span<double> rates) {
-      // The induced graph and the provider's solver state are both reused
-      // per-thread scratch: the CommGraph keeps its capacity across solves
-      // (unlabeled adds — the memo key and the provider ignore labels) and
-      // the arena serves the max-min problem construction. The engine always
-      // hands the provider a whole closed component, so the full-graph entry
-      // point applies; it is bit-identical to the subset overload, which
-      // takes the covers_all shortcut to the very same code.
-      graph::CommGraph& sub = scratch.sub;
-      sub.clear();
-      sub.reserve(static_cast<int>(comp.members.size()));
-      for (const size_t s : comp.members) {
-        const Transfer& tr = transfers_[s];
-        sub.add(tr.src_node, tr.dst_node, tr.remaining);
-      }
-      provider_.rates_into(sub, util::Arena::thread_local_instance(), rates);
-    };
     SolveMemo* const memo = cfg_.solve_memo;
     if (memo == nullptr) {
-      solve_fresh(out);
+      solve_fresh(comp, out);
       return;
     }
+    SolveScratch& scratch = solve_scratch();
     util::StructuralHash h;
     h.mix_u64(memo->salt());
     for (const size_t s : comp.members) {
@@ -1039,7 +975,7 @@ class Engine {
       if (memo->verify()) {
         std::vector<double>& fresh = scratch.memo_verify;
         fresh.resize(hit.size());
-        solve_fresh(fresh);
+        solve_fresh(comp, fresh);
         for (size_t k = 0; k < fresh.size(); ++k) {
           BWS_CHECK(hit[k] == fresh[k],
                     strformat("solve memo hit diverged from a fresh solve: "
@@ -1051,9 +987,27 @@ class Engine {
       std::copy(hit.begin(), hit.end(), out.begin());
       return;
     }
-    solve_fresh(out);
+    solve_fresh(comp, out);
     hit.assign(out.begin(), out.end());
     memo->stage(key, hit);
+  }
+
+  /// Solve one component from scratch: build the induced communication graph
+  /// of its members and hand it to the provider. The graph and the
+  /// provider's solver state are both reused per-thread scratch: the
+  /// CommGraph keeps its capacity across solves (unlabeled adds — the memo
+  /// key and the provider ignore labels) and the arena serves the max-min
+  /// problem construction. A component is closed under shared endpoints and
+  /// coupling keys by construction, so solving it alone is exact.
+  void solve_fresh(const Component& comp, std::span<double> out) const {
+    graph::CommGraph& sub = solve_scratch().sub;
+    sub.clear();
+    sub.reserve(static_cast<int>(comp.members.size()));
+    for (const size_t s : comp.members) {
+      const Transfer& tr = transfers_[s];
+      sub.add(tr.src_node, tr.dst_node, tr.remaining);
+    }
+    provider_.rates_into(sub, util::Arena::thread_local_instance(), out);
   }
 
   /// Commit phase: write one component's staged rates back into its
@@ -1065,8 +1019,7 @@ class Engine {
       Transfer& tr = transfers_[comp.members[k]];
       tr.rate = rates[k];
       tr.finish_pred = tr.advance_time + tr.remaining / tr.rate;
-      if (cfg_.queue == QueueMode::kHeap)
-        transfer_q_.update(tr.qh, tr.finish_pred);
+      transfer_q_.update(tr.qh, tr.finish_pred);
     }
   }
 
@@ -1079,8 +1032,7 @@ class Engine {
     return *owned_pool_;
   }
 
-  /// Alive transfer slots in posting (record) order — the deterministic
-  /// ordering both refresh modes share.
+  /// Alive transfer slots in posting (record) order.
   [[nodiscard]] std::vector<size_t> active_slots_by_record() const {
     std::vector<size_t> slots;
     slots.reserve(num_active_);
@@ -1102,44 +1054,34 @@ class Engine {
     return active;
   }
 
-  /// Reference behaviour: re-solve the whole active set on every event,
-  /// trusting none of the incremental caching. Each alive component is
-  /// solved as its own restricted problem — the identical arithmetic
-  /// resolve_dirty() runs on a dirty component. Flows in different
-  /// components share no links or coupling keys, so the partition cannot
-  /// change the solution; and byte counts advance exactly where the
-  /// incremental path advances them (rebuild_dirty_components, i.e. only
-  /// when a component dissolves) so the drain integration steps at the
-  /// same instants. Together that makes kFull bit-identical to
-  /// kIncremental (the contract tests/sim/test_engine_churn.cpp asserts)
-  /// instead of merely 1e-9-close. cross_check() keeps the single
-  /// whole-set solve, so the 1e-9 oracle still compares genuinely
-  /// different arithmetic.
-  void refresh_full() {
-    rebuild_dirty_components();
-    for (const int c : dirty_) {
-      auto& comp = components_[static_cast<size_t>(c)];
-      if (comp.alive) comp.dirty = false;
-    }
-    dirty_.clear();
-    if (num_active_ == 0) return;
-    std::vector<double>& rates = oracle_rates_;  // reused serial scratch
+  /// cross_check (a): every alive component, re-solved fresh on this thread
+  /// — not through the pool, not through the solve memo — must reproduce
+  /// its committed rates bitwise. Byte counts only move when a component is
+  /// dissolved or completes, so each member's `remaining` is still the value
+  /// its last solve saw; a component that changed without turning dirty (or
+  /// a pool or memo solve that diverged from a serial fresh one) fails here.
+  void check_committed_rates() {
     for (size_t c = 0; c < components_.size(); ++c) {
-      auto& comp = components_[c];
+      const Component& comp = components_[c];
       if (!comp.alive || comp.members.empty()) continue;
-      std::sort(comp.members.begin(), comp.members.end(),
-                [&](size_t a, size_t b) {
-                  return transfers_[a].record < transfers_[b].record;
-                });
-      rates.resize(comp.members.size());
-      compute_component_rates(static_cast<int>(c), rates);
-      commit_component(static_cast<int>(c), rates);
+      oracle_rates_.resize(comp.members.size());
+      solve_fresh(comp, oracle_rates_);
+      for (size_t k = 0; k < comp.members.size(); ++k) {
+        const Transfer& tr = transfers_[comp.members[k]];
+        BWS_CHECK(tr.rate == oracle_rates_[k],
+                  strformat("committed rate diverged from a fresh re-solve: "
+                            "component %zu member %zu (comm record %zu) "
+                            "rate %.17g vs %.17g at t=%.9g",
+                            c, k, tr.record, tr.rate, oracle_rates_[k],
+                            now()));
+      }
     }
   }
 
-  /// kCrossCheck: after the incremental refresh, re-solve the full set and
-  /// fail loudly if any cached component rate drifts beyond 1e-9 relative.
-  void cross_check() const {
+  /// cross_check (b): one whole-set solve — genuinely different arithmetic
+  /// from the per-component solves — must agree with every cached rate
+  /// within 1e-9 relative.
+  void check_whole_set_solve() const {
     if (num_active_ == 0) return;
     const auto slots = active_slots_by_record();
     const auto rates = provider_.rates(full_active_graph(slots));
@@ -1155,11 +1097,10 @@ class Engine {
     }
   }
 
-  /// kCrossCheck under kHeap: every alive transfer's queue key must equal
-  /// its cached finish prediction — a commit that re-keyed the wrong entry
-  /// (or forgot one) surfaces here instead of as a silent mis-ordering.
+  /// cross_check (c): every alive transfer's queue key must equal its
+  /// cached finish prediction — a commit that re-keyed the wrong entry (or
+  /// forgot one) surfaces here instead of as a silent mis-ordering.
   void check_queue_keys() const {
-    if (cfg_.queue != QueueMode::kHeap) return;
     for (const auto& tr : transfers_) {
       if (!tr.alive) continue;
       BWS_CHECK(transfer_q_.time_of(tr.qh) == tr.finish_pred,
@@ -1189,8 +1130,8 @@ class Engine {
     return std::max(best, now());
   }
 
-  /// Legacy selection: linear argmin over every transfer slot. Drives
-  /// QueueMode::kScan and the kCrossCheck order assertion under kHeap.
+  /// Reference selection for cross_check: linear argmin over every transfer
+  /// slot, ties to the lowest record — the order the finish-time heap keys.
   [[nodiscard]] size_t scan_next_transfer() const {
     size_t done = transfers_.size();
     for (size_t s = 0; s < transfers_.size(); ++s) {
@@ -1208,24 +1149,18 @@ class Engine {
 
   void complete_one_transfer() {
     // Finish the transfer with the earliest predicted completion; ties go to
-    // the one posted first (lowest record — the tie key the finish-time heap
-    // shares with the legacy scan, so both select identically). Only its own
-    // component needs its bytes advanced.
-    size_t done;
-    if (cfg_.queue == QueueMode::kHeap) {
-      BWS_ASSERT(!transfer_q_.empty(), "no transfer completed");
-      done = transfer_q_.top();
-      if (cfg_.refresh == RefreshMode::kCrossCheck) {
-        const size_t scan = scan_next_transfer();
-        BWS_CHECK(scan == done,
-                  strformat("event queue diverged from scan on the completing "
-                            "transfer: heap slot %zu (record %zu) vs scan "
-                            "slot %zu (record %zu) at t=%.9g",
-                            done, transfers_[done].record, scan,
-                            transfers_[scan].record, now()));
-      }
-    } else {
-      done = scan_next_transfer();
+    // the one posted first (lowest record, the finish-time heap's tie key).
+    // Only its own component needs its bytes advanced.
+    BWS_ASSERT(!transfer_q_.empty(), "no transfer completed");
+    const size_t done = transfer_q_.top();
+    if (cfg_.cross_check) {
+      const size_t scan = scan_next_transfer();
+      BWS_CHECK(scan == done,
+                strformat("event queue diverged from scan on the completing "
+                          "transfer: heap slot %zu (record %zu) vs scan "
+                          "slot %zu (record %zu) at t=%.9g",
+                          done, transfers_[done].record, scan,
+                          transfers_[scan].record, now()));
     }
     advance(transfers_[done]);
     BWS_ASSERT(
@@ -1242,11 +1177,9 @@ class Engine {
     const double ref = reference_duration(rec);
     rec.penalty = ref > 0.0 ? (rec.finish - rec.start) / ref : 1.0;
 
-    // A background flow blocks nobody: record it and re-solve the remnant.
-    if (tr.background) {
-      refresh_rates();
-      return;
-    }
+    // A background flow blocks nobody: record it; the remnant re-solves at
+    // the next flush.
+    if (tr.background) return;
 
     // Unblock the sender (rendezvous) at drain time.
     if (tr.rendezvous) {
@@ -1276,7 +1209,6 @@ class Engine {
       }
     }
 
-    refresh_rates();
     if (state_[static_cast<size_t>(tr.src)] == TaskState::kReady)
       advance_task(tr.src);
     if (state_[static_cast<size_t>(tr.dst)] == TaskState::kReady)
@@ -1302,28 +1234,14 @@ class Engine {
     }
   }
 
-  void wake_computers() {
-    if (cfg_.queue == QueueMode::kHeap) {
-      wake_computers_heap();
-      return;
-    }
-    for (TaskId t = 0; t < trace_.num_tasks(); ++t) {
-      if (state_[static_cast<size_t>(t)] == TaskState::kComputing &&
-          ready_at_[static_cast<size_t>(t)] <= now() + 1e-15) {
-        state_[static_cast<size_t>(t)] = TaskState::kReady;
-        advance_task(t);
-      }
-    }
-  }
-
-  /// Heap-mode replica of the legacy ascending-id wake sweep above. The
-  /// sweep wakes eligible computing tasks in increasing task id, re-checking
-  /// eligibility after every wake — a wake can cascade into a barrier
-  /// release that advances the clock past more deadlines, or start
+  /// Wake every computing task whose wake-up is due, in increasing task
+  /// id, re-checking eligibility after every wake — a wake can cascade into
+  /// a barrier release that advances the clock past more deadlines, or start
   /// zero-length computes. Tasks that become eligible *behind* the sweep
-  /// position are re-queued for the next main-loop turn, exactly like the
-  /// scan (which never revisits lower indices mid-sweep).
-  void wake_computers_heap() {
+  /// position are re-queued for the next main-loop turn: the sweep never
+  /// revisits lower ids. Under cross_check every choice, and the decision to
+  /// stop, is re-derived by scan_next_wake().
+  void wake_computers() {
     // `eligible_` is a reused vector kept sorted by task id — it replaces a
     // std::set that node-allocated on every insert. Task ids are unique here
     // (one compute_q_ entry per computing task), so id order is total and
@@ -1350,18 +1268,41 @@ class Engine {
           [](TaskId id, const Wake& e) { return id < e.task; });
       if (it == eligible_.end()) break;
       const TaskId t = it->task;
+      if (cfg_.cross_check) check_wake(last, t);
       eligible_.erase(it);
       last = t;
       state_[static_cast<size_t>(t)] = TaskState::kReady;
       advance_task(t);
       drain();
     }
+    // However the sweep ended, nothing due may remain above `last`.
+    if (cfg_.cross_check) check_wake(last, -1);
     // Entries behind the sweep position (or beyond a break) are re-queued,
     // ascending id, for the next main-loop turn — the heap's pop order is
     // key-determined, so the push order is immaterial.
     for (const auto& e : eligible_)
       compute_q_.push(e.when, static_cast<uint64_t>(e.task), e.task);
     eligible_.clear();
+  }
+
+  /// Reference wake choice for cross_check: the smallest task id above
+  /// `last` that is computing and due, or -1 — one step of a linear sweep.
+  [[nodiscard]] TaskId scan_next_wake(TaskId last) const {
+    for (TaskId t = last + 1; t < trace_.num_tasks(); ++t)
+      if (state_[static_cast<size_t>(t)] == TaskState::kComputing &&
+          ready_at_[static_cast<size_t>(t)] <= now() + 1e-15)
+        return t;
+    return -1;
+  }
+
+  /// cross_check (d): after waking `last`, the sweep's next choice `t`
+  /// (-1 = the sweep ends) must be the linear sweep's.
+  void check_wake(TaskId last, TaskId t) const {
+    const TaskId scan = scan_next_wake(last);
+    BWS_CHECK(scan == t,
+              strformat("wake sweep diverged from scan after task %d: "
+                        "heap wakes task %d vs scan task %d at t=%.9g",
+                        last, t, scan, now()));
   }
 
   // --- helpers -------------------------------------------------------------
@@ -1428,13 +1369,13 @@ class Engine {
   core::EventQueue<size_t> script_q_;
   std::vector<size_t> aborting_;  // fail_node victim snapshot
 
-  // The event-core indices (QueueMode::kHeap): alive transfers keyed by
-  // predicted finish time (tie: posting record), computing tasks keyed by
-  // wake-up time (tie: task id).
+  // The event-core indices: alive transfers keyed by predicted finish time
+  // (tie: posting record), computing tasks keyed by wake-up time (tie: task
+  // id).
   core::EventQueue<size_t> transfer_q_;
   core::EventQueue<TaskId> compute_q_;
 
-  /// One drained compute_q_ entry awaiting its wake (wake_computers_heap).
+  /// One drained compute_q_ entry awaiting its wake (wake_computers).
   struct Wake {
     TaskId task;
     double when;
@@ -1453,7 +1394,7 @@ class Engine {
   std::vector<int> solve_list_;                   // flush work list
   std::vector<double> staged_rates_;              // staged rates, flat
   std::vector<size_t> staged_off_;                // per-component offsets
-  std::vector<double> oracle_rates_;              // serial re-solve scratch
+  std::vector<double> oracle_rates_;              // cross_check scratch
   std::unique_ptr<util::ThreadPool> owned_pool_;  // lazy kParallel fallback
   // Component ownership as dense arrays: node_owner_ is sized to the cluster
   // up front; key_owner_ grows to the high-water coupling-key id. -1 = free.

@@ -17,26 +17,25 @@
 //     earliest posted pending send (the paper's MPI_ANY_SOURCE method).
 //   * Barriers release when every task has arrived.
 //
-// Rate refresh is incremental and component-scoped by default: when a
-// transfer starts or finishes, only the connected component(s) of the
-// conflict structure it touches are re-solved, and untouched components keep
-// their cached rates with lazily advanced byte counts. Dirty components are
-// not solved mid-event but at the next *flush point* (the top of the event
-// loop, or just before a barrier cost advances the clock) — the clock cannot
-// move in between, so deferral is unobservable, and it batches all the
-// components a same-time event cascade touched into one multi-component
-// solve. That batch is what EngineConfig::solve fans out:
-// SolveMode::kParallel computes each component's rates on a shared
-// util::ThreadPool (components are disjoint by construction, and providers
-// are const-safe over disjoint subsets), then commits them sequentially in
-// component-id order, so completion times are bit-identical to kSerial at
-// any thread count. The event loop itself runs on the shared event-core
-// (core::EventQueue): predicted finish times and compute wake-ups are
-// indexed heap entries, re-keyed in O(log n) when a component re-solve
+// Rate refresh is incremental and component-scoped: when a transfer starts
+// or finishes, only the connected component(s) of the conflict structure it
+// touches are re-solved, and untouched components keep their cached rates
+// with lazily advanced byte counts. Dirty components are not solved
+// mid-event but at the next *flush point* (the top of the event loop, or
+// just before a barrier cost advances the clock) — the clock cannot move in
+// between, so deferral is unobservable, and it batches all the components a
+// same-time event cascade touched into one multi-component solve. That batch
+// is what EngineConfig::solve fans out: SolveMode::kParallel computes each
+// component's rates on a shared util::ThreadPool (components are disjoint by
+// construction, and providers are const-safe), then commits them
+// sequentially in component-id order, so completion times are bit-identical
+// to kSerial at any thread count. The event loop itself runs on the shared
+// event-core (core::EventQueue): predicted finish times and compute wake-ups
+// are indexed heap entries, re-keyed in O(log n) when a component re-solve
 // changes a prediction, so finding the next event never scans the active
-// set. See docs/PERFORMANCE.md for the invariants and
-// bench/engine_scaling.cpp for the measured speedups; EngineConfig::refresh,
-// ::queue and ::solve select the strategies.
+// set. EngineConfig::cross_check arms the oracle that re-derives all of this
+// the slow way at every flush and event (docs/PERFORMANCE.md, "Invariants");
+// bench/engine_scaling.cpp measures the speedups.
 #pragma once
 
 #include <string>
@@ -56,35 +55,6 @@ namespace bwshare::sim {
 
 class SolveMemo;
 
-/// Rate-refresh strategy (docs/PERFORMANCE.md).
-enum class RefreshMode {
-  /// Re-solve every alive component on every event, trusting none of the
-  /// incremental caching (the reference behaviour; O(events x active-set
-  /// solve)). Bit-identical to kIncremental, not merely 1e-9-close
-  /// (docs/PERFORMANCE.md, tests/sim/test_engine_churn.cpp).
-  kFull,
-  /// Re-solve only the dirty conflict components an event touched;
-  /// untouched components keep cached rates and advance bytes lazily.
-  kIncremental,
-  /// Run incrementally, but re-solve the full set after every refresh and
-  /// throw if any cached rate drifts from the full solution by more than
-  /// 1e-9 relative. Under QueueMode::kHeap it additionally re-derives every
-  /// event choice by the legacy linear scan and throws if heap order ever
-  /// diverges from scan order. Equivalence harness for tests and benchmarks.
-  kCrossCheck,
-};
-
-/// How the event loop finds the next completion / wake-up
-/// (docs/PERFORMANCE.md, "The event-core").
-enum class QueueMode {
-  /// Indexed finish-time heap (core::EventQueue): O(log n) per event.
-  kHeap,
-  /// Legacy per-event linear scans over every transfer slot and task (the
-  /// pre-event-core behaviour). Kept for A/B benchmarking — both modes are
-  /// bit-identical, which kCrossCheck asserts at every event.
-  kScan,
-};
-
 /// Where the per-component rate solves of a flush run
 /// (docs/PERFORMANCE.md, "The parallel component solver").
 enum class SolveMode {
@@ -93,8 +63,8 @@ enum class SolveMode {
   /// Each component's rates are computed as an independent task on a
   /// util::ThreadPool (components are disjoint, providers const-safe), then
   /// committed sequentially in component-id order. Bit-identical to kSerial
-  /// at any thread count — which RefreshMode::kCrossCheck asserts by
-  /// re-solving every component serially after the parallel pass.
+  /// at any thread count — which EngineConfig::cross_check asserts by
+  /// re-solving every component serially on the calling thread.
   kParallel,
 };
 
@@ -105,10 +75,14 @@ struct EngineConfig {
   double barrier_cost = 0.0;
   /// Abort if simulated time exceeds this (deadlock safety net).
   double max_time = 1e9;
-  /// How rates are refreshed when the active transfer set changes.
-  RefreshMode refresh = RefreshMode::kIncremental;
-  /// How the next event is selected.
-  QueueMode queue = QueueMode::kHeap;
+  /// Equivalence oracle for tests and benchmarks: at every flush, re-solve
+  /// each alive component fresh on the calling thread (bypassing the pool
+  /// and the solve memo) and require its committed rates bitwise; re-solve
+  /// the whole active set and require agreement within 1e-9 relative; and
+  /// re-derive every queue key, next-event time, completing transfer and
+  /// compute wake by linear scan. Throws bwshare::Error on the first
+  /// divergence. Results are bit-identical with or without it.
+  bool cross_check = false;
   /// Where a flush runs its per-component solves.
   SolveMode solve = SolveMode::kSerial;
   /// Pool for SolveMode::kParallel (not owned; must outlive the

@@ -24,25 +24,4 @@ std::vector<double> ModelRateProvider::rates(
   return rates;
 }
 
-std::vector<double> ModelRateProvider::rates(
-    const graph::CommGraph& active,
-    std::span<const graph::CommId> subset) const {
-  if (subset.empty()) return {};
-  if (covers_all(subset, active.size())) return rates(active);
-  // Penalties are local to an endpoint-closed set (see rate_model.hpp), so
-  // expanding to the closure (a no-op for the simulator's already-closed
-  // components) makes the restricted solve exact for any subset, and the
-  // model never needs to see the rest of the graph.
-  const auto closed = coupling_closure(active, subset);
-  std::vector<size_t> pos_of(static_cast<size_t>(active.size()), 0);
-  for (size_t p = 0; p < closed.size(); ++p)
-    pos_of[static_cast<size_t>(closed[p])] = p;
-  const auto closed_rates = rates(graph::induced_subgraph(active, closed));
-  std::vector<double> out;
-  out.reserve(subset.size());
-  for (const graph::CommId id : subset)
-    out.push_back(closed_rates[pos_of[static_cast<size_t>(id)]]);
-  return out;
-}
-
 }  // namespace bwshare::sim

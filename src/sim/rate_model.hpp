@@ -15,8 +15,14 @@ namespace bwshare::sim {
 
 /// Const-safe and reentrant like every RateProvider (see the base class
 /// contract): the penalty model is shared immutable state, all solve
-/// scratch is stack-local, so the engine's parallel flush may call
-/// rates(active, subset) from several threads over disjoint components.
+/// scratch is stack-local, so the engine's parallel flush may call it from
+/// several threads, one disjoint component each.
+///
+/// Locality: the engine evaluates the penalty model on one endpoint-closed
+/// component's induced graph at a time. That is exact because every paper
+/// model is local to such a set — penalties depend on node degrees,
+/// strongly-slow sets and conflict-graph components, all fully determined
+/// inside it (docs/PERFORMANCE.md). No coupling keys are declared.
 class ModelRateProvider final : public flowsim::RateProvider {
  public:
   ModelRateProvider(std::shared_ptr<const models::PenaltyModel> model,
@@ -24,15 +30,6 @@ class ModelRateProvider final : public flowsim::RateProvider {
 
   [[nodiscard]] std::vector<double> rates(
       const graph::CommGraph& active) const override;
-
-  /// Component-restricted solve: evaluates the penalty model on the induced
-  /// subgraph of `subset`'s endpoint closure only. Exact because every paper
-  /// model is local to an endpoint-closed component — penalties depend on
-  /// node degrees, strongly-slow sets, and conflict-graph components, all
-  /// fully determined inside such a set (see docs/PERFORMANCE.md).
-  [[nodiscard]] std::vector<double> rates(
-      const graph::CommGraph& active,
-      std::span<const graph::CommId> subset) const override;
 
   [[nodiscard]] const topo::NetworkCalibration& calibration() const {
     return cal_;

@@ -27,8 +27,9 @@
 //     replays and reports per-job interference.
 //
 // Script events are replayed on the engine's core::EventQueue keyed by
-// (time, script order) — identical under every RefreshMode / QueueMode /
-// SolveMode, which tests/sim/test_engine_churn.cpp enforces bit-exactly.
+// (time, script order) — identical under every SolveMode and with
+// EngineConfig::cross_check armed, which tests/sim/test_engine_churn.cpp
+// enforces bit-exactly.
 #pragma once
 
 #include <vector>

@@ -9,9 +9,11 @@
 // purity is what makes cross-query reuse safe by construction: a memo hit
 // returns exactly the bits a fresh solve would have produced, so warm-started
 // replays are bit-identical to cold ones — the cache only ever saves work,
-// never changes an answer. RefreshMode-style paranoia is still available:
-// a SolveMemo built with verify=true re-solves every hit against the provider
-// and throws on the first diverging bit (the serve suite's oracle mode).
+// never changes an answer. Paranoia is still available: a SolveMemo built
+// with verify=true re-solves every hit against the provider and throws on
+// the first diverging bit (the serve suite's oracle mode), and an
+// EngineConfig::cross_check replay re-solves every component fresh at every
+// flush, so a memo hit that diverged would fail there too.
 //
 // Keying: the engine hashes (salt, then per member in record order: src node,
 // dst node, remaining-bytes bit pattern) with util::StructuralHash. The salt

@@ -2,6 +2,8 @@
 // (it replaces the physical clusters — see DESIGN.md §1).
 #include "flowsim/fluid_network.hpp"
 
+#include <map>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +22,79 @@ using graph::schemes::fig2_scheme;
 using topo::gigabit_ethernet_calibration;
 using topo::infiniband_calibration;
 using topo::myrinet2000_calibration;
+
+/// Reference construction of the substrate's max-min problem, written for
+/// clarity with ordered maps: one resource per host TX link, per host RX
+/// link, per duplex-saturated host bus, per shm engine (each group by
+/// ascending node id), then one per fat-tree inner link (ascending link id),
+/// members in comm order. FluidRateProvider::rates_into builds the same
+/// problem in an arena; the two must agree bit for bit.
+AllocationProblem reference_problem(const graph::CommGraph& active,
+                                    const topo::NetworkCalibration& cal,
+                                    const std::optional<topo::FatTree>& tree) {
+  const int n = active.size();
+  const double link = cal.link_bandwidth;
+  AllocationProblem problem;
+  problem.num_flows = n;
+  problem.weights.assign(static_cast<size_t>(n), 1.0);
+  problem.caps.assign(static_cast<size_t>(n), 0.0);
+
+  std::map<topo::NodeId, std::vector<FlowIndex>> tx_at;
+  std::map<topo::NodeId, std::vector<FlowIndex>> rx_at;
+  std::map<topo::NodeId, std::vector<FlowIndex>> shm_at;
+  for (graph::CommId i = 0; i < n; ++i) {
+    const auto& c = active.comm(i);
+    if (active.is_intra_node(i)) {
+      shm_at[c.src].push_back(i);
+      problem.caps[static_cast<size_t>(i)] = cal.shm_bandwidth;
+      continue;
+    }
+    tx_at[c.src].push_back(i);
+    rx_at[c.dst].push_back(i);
+    problem.caps[static_cast<size_t>(i)] = link * cal.single_stream_efficiency;
+  }
+  // Heavy bidirectional load (>= 4 flows, both directions) saturates the
+  // host bus; receive flows there get the RX bus weight.
+  const auto saturated = [&](topo::NodeId node) {
+    const auto tx = tx_at.find(node);
+    const auto rx = rx_at.find(node);
+    if (tx == tx_at.end() || rx == rx_at.end()) return false;
+    return tx->second.size() + rx->second.size() >= 4;
+  };
+  for (const auto& [node, rx] : rx_at) {
+    if (!saturated(node)) continue;
+    for (const FlowIndex f : rx)
+      problem.weights[static_cast<size_t>(f)] = cal.rx_bus_weight;
+  }
+  for (const auto& [node, members] : tx_at)
+    problem.resources.push_back(Resource{link, members});
+  for (const auto& [node, members] : rx_at)
+    problem.resources.push_back(Resource{link, members});
+  for (const auto& [node, tx] : tx_at) {
+    if (!saturated(node)) continue;
+    Resource bus{link * cal.host_duplex_factor, tx};
+    const auto& rx = rx_at.at(node);
+    bus.members.insert(bus.members.end(), rx.begin(), rx.end());
+    problem.resources.push_back(std::move(bus));
+  }
+  for (const auto& [node, members] : shm_at)
+    problem.resources.push_back(Resource{cal.shm_bandwidth, members});
+  if (tree) {
+    std::map<topo::LinkId, std::vector<FlowIndex>> on_link;
+    for (graph::CommId i = 0; i < n; ++i) {
+      if (active.is_intra_node(i)) continue;
+      const auto& c = active.comm(i);
+      for (const topo::LinkId l : tree->route(c.src, c.dst)) {
+        if (l == tree->host_uplink(c.src) || l == tree->host_downlink(c.dst))
+          continue;
+        on_link[l].push_back(i);
+      }
+    }
+    for (const auto& [l, members] : on_link)
+      problem.resources.push_back(Resource{tree->link(l).capacity, members});
+  }
+  return problem;
+}
 
 std::vector<double> penalties(int scheme, const topo::NetworkCalibration& cal) {
   return measure_penalties(fig2_scheme(scheme), cal);
@@ -131,9 +206,9 @@ TEST(FluidSubstrate, TimesScaleLinearlyWithSize) {
 }
 
 TEST(FluidSubstrate, BuildProblemShape) {
-  const FluidRateProvider provider(gigabit_ethernet_calibration());
+  const auto cal = gigabit_ethernet_calibration();
   const auto g = fig2_scheme(5);
-  const auto problem = provider.build_problem(g);
+  const auto problem = reference_problem(g, cal, std::nullopt);
   EXPECT_EQ(problem.num_flows, 5);
   // e (rx at the duplex-conflicted node 0) carries the RX weight.
   const auto e = g.find("e");
@@ -141,6 +216,9 @@ TEST(FluidSubstrate, BuildProblemShape) {
   EXPECT_GT(problem.weights[static_cast<size_t>(*e)], 1.0);
   // a keeps weight 1.
   EXPECT_DOUBLE_EQ(problem.weights[0], 1.0);
+  // The provider solves exactly this problem.
+  const FluidRateProvider provider(cal);
+  EXPECT_EQ(provider.rates(g), max_min_rates(problem));
 }
 
 TEST(FluidSubstrate, EmptyGraph) {
@@ -152,54 +230,53 @@ TEST(FluidSubstrate, EmptyGraph) {
 
 // A random graph in the regime the engine hands the provider: several
 // overlapping arcs over a small node set, so host-bus resources have
-// multi-flow member lists.
+// multi-flow member lists, plus intra-node copies on the shm engines.
 graph::CommGraph random_graph(Rng& rng, int nodes, int comms) {
   graph::CommGraph g;
   for (int i = 0; i < comms; ++i) {
     const int src = static_cast<int>(rng.below(static_cast<uint64_t>(nodes)));
     int dst = static_cast<int>(rng.below(static_cast<uint64_t>(nodes)));
-    if (dst == src) dst = (src + 1) % nodes;
+    if (dst == src && rng.uniform() < 0.7) dst = (src + 1) % nodes;
     g.add(src, dst, 1e6 + static_cast<double>(rng.below(20000000)));
   }
   return g;
 }
 
-TEST(FluidSubstrate, RatesIntoIsBitIdenticalToRates) {
-  const FluidRateProvider provider(gigabit_ethernet_calibration());
-  util::Arena arena;
-  Rng rng(99);
-  for (int iter = 0; iter < 100; ++iter) {
-    const auto g = random_graph(rng, 2 + static_cast<int>(rng.below(8)),
-                                1 + static_cast<int>(rng.below(12)));
-    const std::vector<double> reference = provider.rates(g);
-    std::vector<double> out(static_cast<size_t>(g.size()), -1.0);
-    util::Arena::Frame frame(arena);
-    provider.rates_into(g, arena, out);
-    ASSERT_EQ(out.size(), reference.size());
-    for (size_t i = 0; i < out.size(); ++i)
-      ASSERT_EQ(out[i], reference[i])  // bitwise, not approximate
-          << "iter " << iter << " comm " << i;
+/// rates_into against max_min_rates over the reference construction, bit for
+/// bit, on `iters` random graphs under every calibration.
+void expect_matches_reference(const std::optional<topo::FatTree>& tree,
+                              int nodes, uint64_t seed, int iters) {
+  for (const auto& cal :
+       {gigabit_ethernet_calibration(), myrinet2000_calibration(),
+        infiniband_calibration()}) {
+    const FluidRateProvider provider(cal, tree);
+    util::Arena arena;
+    Rng rng(seed);
+    for (int iter = 0; iter < iters; ++iter) {
+      const int n = tree ? nodes : 2 + static_cast<int>(rng.below(8));
+      const auto g = random_graph(rng, n, 1 + static_cast<int>(rng.below(16)));
+      const auto reference = max_min_rates(reference_problem(g, cal, tree));
+      std::vector<double> out(static_cast<size_t>(g.size()), -1.0);
+      util::Arena::Frame frame(arena);
+      provider.rates_into(g, arena, out);
+      ASSERT_EQ(out.size(), reference.size());
+      for (size_t i = 0; i < out.size(); ++i)
+        ASSERT_EQ(out[i], reference[i])  // bitwise, not approximate
+            << to_string(cal.tech) << " iter " << iter << " comm " << i;
+    }
   }
+}
+
+TEST(FluidSubstrate, RatesIntoIsBitIdenticalToRates) {
+  expect_matches_reference(std::nullopt, 0, 99, 100);
 }
 
 TEST(FluidSubstrate, RatesIntoIsBitIdenticalUnderAFatTree) {
   // Inner links add fat-tree resources after the host buses; the arena path
   // must replicate that construction order exactly.
-  const auto cal = gigabit_ethernet_calibration();
-  const auto cluster = topo::ClusterSpec::uniform("ft", 16, 1, cal);
-  const FluidRateProvider provider(cal,
-                                   topo::FatTree::for_cluster(cluster, 4));
-  util::Arena arena;
-  Rng rng(7);
-  for (int iter = 0; iter < 50; ++iter) {
-    const auto g = random_graph(rng, 16, 1 + static_cast<int>(rng.below(16)));
-    const std::vector<double> reference = provider.rates(g);
-    std::vector<double> out(static_cast<size_t>(g.size()), -1.0);
-    util::Arena::Frame frame(arena);
-    provider.rates_into(g, arena, out);
-    for (size_t i = 0; i < out.size(); ++i)
-      ASSERT_EQ(out[i], reference[i]) << "iter " << iter << " comm " << i;
-  }
+  const auto cluster =
+      topo::ClusterSpec::uniform("ft", 16, 1, gigabit_ethernet_calibration());
+  expect_matches_reference(topo::FatTree::for_cluster(cluster, 4), 16, 7, 50);
 }
 
 TEST(FluidSubstrate, RatesIntoIsAllocationFreeOnceWarm) {

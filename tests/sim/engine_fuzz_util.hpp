@@ -1,10 +1,11 @@
 // Shared fuzz machinery for the engine equivalence suites
-// (test_engine_queue.cpp: heap vs scan; test_engine_parallel.cpp: parallel
-// vs serial solve; test_engine_churn.cpp: dynamic-cluster scenarios). All
-// compare whole replays bit-for-bit, and all want the same churning
-// workload: staggered hotspot fan-ins force mid-flight re-predictions in
-// both directions (joins shrink rates, completions grow them), mixed with
-// eager and rendezvous sizes, zero-length computes and barriers.
+// (test_engine_incremental.cpp and test_engine_queue.cpp: the cross_check
+// oracle; test_engine_parallel.cpp: parallel vs serial solve;
+// test_engine_churn.cpp: dynamic-cluster scenarios). All compare whole
+// replays bit-for-bit, and all want the same churning workload: staggered
+// hotspot fan-ins force mid-flight re-predictions in both directions (joins
+// shrink rates, completions grow them), mixed with eager and rendezvous
+// sizes, zero-length computes and barriers.
 #pragma once
 
 #include <cstdint>
@@ -102,6 +103,25 @@ inline Scenario churn_scenario(uint64_t seed, int nodes,
   scenario.churn = graph::generate_churn(churn, seed);
   scenario.background = graph::generate_background(background, seed);
   return scenario;
+}
+
+/// Replay `trace` under `cfg`, then again with EngineConfig::cross_check
+/// armed: the oracle replay must not throw — its per-component fresh
+/// re-solves, whole-set solve, queue keys, next-event scans and wake-order
+/// scans all agree at every flush and event — and must be bit-identical to
+/// the plain one. Returns the plain replay.
+inline SimResult expect_cross_check_clean(
+    const AppTrace& trace, const topo::ClusterSpec& cluster,
+    const Placement& placement, const flowsim::RateProvider& provider,
+    const Scenario& scenario = {}, EngineConfig cfg = {}) {
+  const SimResult plain =
+      run_simulation(trace, cluster, placement, provider, scenario, cfg);
+  cfg.cross_check = true;
+  SimResult checked;
+  EXPECT_NO_THROW(checked = run_simulation(trace, cluster, placement,
+                                           provider, scenario, cfg));
+  expect_bit_identical(plain, checked);
+  return plain;
 }
 
 }  // namespace bwshare::sim

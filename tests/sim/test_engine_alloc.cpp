@@ -9,7 +9,9 @@
 // both run after a warm-up replay so thread-local scratch is built. Setup
 // costs (engine state, reserves) are identical for both and cancel; any
 // remaining delta is a per-event allocation on the steady path, and the
-// assertion is exact: zero.
+// assertion is exact: zero. Run with and without a barrier cost, so the
+// barrier-cost path (arrive_barrier -> flush -> clock advance) is held to
+// the same standard.
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -50,7 +52,7 @@ AppTrace matching_trace(int nodes, int rounds, uint64_t seed) {
   return trace;
 }
 
-class EngineAllocTest : public ::testing::TestWithParam<QueueMode> {};
+class EngineAllocTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(EngineAllocTest, WarmReplayMakesZeroSteadyStateAllocations) {
   constexpr int kNodes = 32;
@@ -62,8 +64,7 @@ TEST_P(EngineAllocTest, WarmReplayMakesZeroSteadyStateAllocations) {
   const flowsim::FluidRateProvider provider(cal);
   const Scenario scenario;
   EngineConfig cfg;
-  cfg.refresh = RefreshMode::kIncremental;
-  cfg.queue = GetParam();
+  cfg.barrier_cost = GetParam();
 
   const auto trace1 = matching_trace(kNodes, 1, /*seed=*/7);
   const auto trace = matching_trace(kNodes, kRounds, /*seed=*/7);
@@ -89,11 +90,10 @@ TEST_P(EngineAllocTest, WarmReplayMakesZeroSteadyStateAllocations) {
       << "must not touch the global allocator";
 }
 
-INSTANTIATE_TEST_SUITE_P(Queues, EngineAllocTest,
-                         ::testing::Values(QueueMode::kHeap, QueueMode::kScan),
+INSTANTIATE_TEST_SUITE_P(BarrierCosts, EngineAllocTest,
+                         ::testing::Values(0.0, 1e-3),
                          [](const auto& info) {
-                           return info.param == QueueMode::kHeap ? "Heap"
-                                                                 : "Scan";
+                           return info.param == 0.0 ? "Free" : "Costed";
                          });
 
 }  // namespace

@@ -2,11 +2,11 @@
 // (sim/scenario.hpp): node join/leave/fail churn and background
 // cross-traffic scripted onto a replay. The scenario machinery must not
 // disturb any of the engine's equivalence contracts — under a scripted
-// trace, RefreshMode::kIncremental stays bit-identical to kFull,
-// QueueMode::kScan to kHeap, SolveMode::kParallel to kSerial at 1/2/8
-// workers, and a RefreshMode::kCrossCheck replay (which re-solves every
-// refresh fully and re-derives every event choice by linear scan) finishes
-// without throwing. Fuzzed over the shared churn workload and over every
+// trace, SolveMode::kParallel stays bit-identical to kSerial at 1/2/8
+// workers, and an EngineConfig::cross_check replay (which re-solves every
+// component fresh at every flush and re-derives every event choice and
+// wake by linear scan) finishes without throwing, bit-identical to the
+// plain one. Fuzzed over the shared churn workload and over every
 // generator family under the fluid, gige-model and myrinet-model
 // providers, plus targeted semantic tests for the fail/leave/join and
 // background-admission rules. Runs under the TSan CI job next to
@@ -32,61 +32,27 @@
 namespace bwshare::sim {
 namespace {
 
-SimResult run_scenario(const AppTrace& trace, const topo::ClusterSpec& cluster,
-                       const Placement& placement,
-                       const flowsim::RateProvider& provider,
-                       const Scenario& scenario, RefreshMode refresh,
-                       QueueMode queue = QueueMode::kHeap,
-                       SolveMode solve = SolveMode::kSerial,
-                       util::ThreadPool* pool = nullptr,
-                       double barrier_cost = 0.0) {
-  EngineConfig cfg;
-  cfg.refresh = refresh;
-  cfg.queue = queue;
-  cfg.solve = solve;
-  cfg.solve_pool = pool;
-  cfg.barrier_cost = barrier_cost;
-  return run_simulation(trace, cluster, placement, provider, scenario, cfg);
-}
-
-/// The full determinism cross-product under one scripted scenario:
-/// kFull/kHeap/kSerial is the reference; incremental (heap and scan),
-/// parallel pools of 1, 2 and 8, and a kCrossCheck replay per pool size
-/// must all reproduce it bit for bit.
+/// The determinism cross-product under one scripted scenario: the plain
+/// serial replay is the reference; a cross_check replay, parallel pools of
+/// 1, 2 and 8, and a cross_check replay per pool size must all reproduce it
+/// bit for bit, the oracle replays without throwing.
 void check_churn_determinism(const AppTrace& trace,
                              const topo::ClusterSpec& cluster,
                              const Placement& placement,
                              const flowsim::RateProvider& provider,
                              const Scenario& scenario,
                              double barrier_cost = 0.0) {
-  const auto full =
-      run_scenario(trace, cluster, placement, provider, scenario,
-                   RefreshMode::kFull, QueueMode::kHeap, SolveMode::kSerial,
-                   nullptr, barrier_cost);
-  const auto incremental =
-      run_scenario(trace, cluster, placement, provider, scenario,
-                   RefreshMode::kIncremental, QueueMode::kHeap,
-                   SolveMode::kSerial, nullptr, barrier_cost);
-  expect_bit_identical(full, incremental);
-  const auto scan =
-      run_scenario(trace, cluster, placement, provider, scenario,
-                   RefreshMode::kIncremental, QueueMode::kScan,
-                   SolveMode::kSerial, nullptr, barrier_cost);
-  expect_bit_identical(full, scan);
+  EngineConfig cfg;
+  cfg.barrier_cost = barrier_cost;
+  const auto serial = expect_cross_check_clean(trace, cluster, placement,
+                                               provider, scenario, cfg);
   for (const int threads : {1, 2, 8}) {
     util::ThreadPool pool(threads);
-    const auto parallel =
-        run_scenario(trace, cluster, placement, provider, scenario,
-                     RefreshMode::kIncremental, QueueMode::kHeap,
-                     SolveMode::kParallel, &pool, barrier_cost);
-    expect_bit_identical(full, parallel);
-    SimResult crosschecked;
-    EXPECT_NO_THROW(
-        crosschecked = run_scenario(trace, cluster, placement, provider,
-                                    scenario, RefreshMode::kCrossCheck,
-                                    QueueMode::kHeap, SolveMode::kParallel,
-                                    &pool, barrier_cost));
-    expect_bit_identical(full, crosschecked);
+    cfg.solve = SolveMode::kParallel;
+    cfg.solve_pool = &pool;
+    expect_bit_identical(serial,
+                         expect_cross_check_clean(trace, cluster, placement,
+                                                  provider, scenario, cfg));
   }
 }
 
@@ -337,6 +303,42 @@ TEST(EngineChurn, ScriptEventsBeyondTheMakespanNeverFire) {
   EXPECT_EQ(result.background_comms, 0u);
   EXPECT_EQ(result.aborted_comms, 0u);
   expect_bit_identical(base, result);
+}
+
+TEST(EngineChurn, BarrierCostFlushesTheReleasingCompletionsComponent) {
+  // A background flow shares both hosts with the job's only transfer. With
+  // zero latency, that transfer's completion releases the barrier in the
+  // same event that dirtied the flow's component, so the flush before the
+  // barrier cost advances the clock is what lets the flow speed up to its
+  // solo rate for the whole cost interval (and check (e) of the engine —
+  // no dirty component when the clock moves — guards it).
+  auto cal = topo::gigabit_ethernet_calibration();
+  cal.latency = 0.0;
+  const auto cluster = topo::ClusterSpec::uniform("barrierflush", 2, 1, cal);
+  const auto placement = identity_placement(2);
+  const flowsim::FluidRateProvider provider(cal);
+  constexpr double kJob = 4e6;
+  constexpr double kBackground = 4.0 * kJob;
+  AppTrace trace(2);
+  trace.push(0, Event::send(1, kJob));
+  trace.push(1, Event::recv(0, kJob));
+  trace.push_barrier_all();
+  trace.push(0, Event::compute(1.0));  // outlive the background flow
+  Scenario scenario;
+  scenario.background.push_back({0.0, 0, 1, kBackground});
+  EngineConfig cfg;
+  cfg.barrier_cost = 5e-3;
+  const auto result = expect_cross_check_clean(trace, cluster, placement,
+                                               provider, scenario, cfg);
+  ASSERT_EQ(result.comms.size(), 2u);
+  ASSERT_TRUE(result.comms[1].background);
+  // Both flows share host 0's TX link at half the link rate each until the
+  // job transfer drains; the flow then runs alone at its single-stream rate.
+  const double shared = cal.link_bandwidth / 2.0;
+  const double release = kJob / shared;
+  EXPECT_DOUBLE_EQ(result.comms[0].finish, release);
+  EXPECT_DOUBLE_EQ(result.comms[1].finish,
+                   release + (kBackground - kJob) / cal.reference_bandwidth());
 }
 
 // --- validation ------------------------------------------------------------

@@ -5,10 +5,11 @@
 // may depend on scheduling. Exercised over the shared churn fuzz (heavy
 // same-time batching via barriers and fan-ins), every generator family
 // under the fluid, gige-model and myrinet-model providers, fat-tree
-// coupling, and RefreshMode::kCrossCheck's parallel oracle (which re-solves
-// every pool-solved component serially and throws on any bit of
-// divergence). This suite is the TSan CI target for the engine: any data
-// race between concurrent provider solves surfaces here.
+// coupling, and EngineConfig::cross_check (whose per-flush oracle re-solves
+// every component, pool-solved ones included, serially on the calling
+// thread and throws on any bit of divergence). This suite is the TSan CI
+// target for the engine: any data race between concurrent provider solves
+// surfaces here.
 #include <cstdint>
 #include <tuple>
 
@@ -32,10 +33,8 @@ namespace {
 SimResult run_solve(const AppTrace& trace, const topo::ClusterSpec& cluster,
                     const Placement& placement,
                     const flowsim::RateProvider& provider, SolveMode solve,
-                    util::ThreadPool* pool, RefreshMode refresh,
-                    double barrier_cost = 0.0) {
+                    util::ThreadPool* pool, double barrier_cost = 0.0) {
   EngineConfig cfg;
-  cfg.refresh = refresh;
   cfg.solve = solve;
   cfg.solve_pool = pool;
   cfg.barrier_cost = barrier_cost;
@@ -44,9 +43,9 @@ SimResult run_solve(const AppTrace& trace, const topo::ClusterSpec& cluster,
 
 /// The determinism contract, checked as the ISSUE states it: serial once,
 /// then parallel on injected pools of 1, 2 and 8 workers — every replay
-/// bit-identical — then kCrossCheck in parallel, whose oracle re-solves
-/// each pool-solved component serially and throws on any divergence in
-/// rates, event order or queue keys.
+/// bit-identical — then a parallel cross_check replay, whose oracle
+/// re-solves each component serially and throws on any divergence in rates,
+/// event order, wake order or queue keys.
 void check_parallel_matches_serial(const AppTrace& trace,
                                    const topo::ClusterSpec& cluster,
                                    const Placement& placement,
@@ -54,21 +53,22 @@ void check_parallel_matches_serial(const AppTrace& trace,
                                    double barrier_cost = 0.0) {
   const auto serial =
       run_solve(trace, cluster, placement, provider, SolveMode::kSerial,
-                nullptr, RefreshMode::kIncremental, barrier_cost);
+                nullptr, barrier_cost);
   for (const int threads : {1, 2, 8}) {
     util::ThreadPool pool(threads);
     const auto parallel =
         run_solve(trace, cluster, placement, provider, SolveMode::kParallel,
-                  &pool, RefreshMode::kIncremental, barrier_cost);
+                  &pool, barrier_cost);
     expect_bit_identical(serial, parallel);
   }
   util::ThreadPool pool(2);
-  SimResult crosschecked;
-  EXPECT_NO_THROW(crosschecked = run_solve(
-                      trace, cluster, placement, provider,
-                      SolveMode::kParallel, &pool, RefreshMode::kCrossCheck,
-                      barrier_cost));
-  expect_bit_identical(serial, crosschecked);
+  EngineConfig cfg;
+  cfg.barrier_cost = barrier_cost;
+  cfg.solve = SolveMode::kParallel;
+  cfg.solve_pool = &pool;
+  expect_bit_identical(serial,
+                       expect_cross_check_clean(trace, cluster, placement,
+                                                provider, Scenario{}, cfg));
 }
 
 // --- staggered churn fuzz --------------------------------------------------
@@ -181,14 +181,12 @@ TEST(ParallelSolvePool, SharedInjectedPoolServesConsecutiveReplays) {
   const auto placement =
       make_placement(SchedulingPolicy::kRoundRobinNode, cluster, 7);
   const flowsim::FluidRateProvider provider(cluster.network());
-  const auto serial =
-      run_solve(trace, cluster, placement, provider, SolveMode::kSerial,
-                nullptr, RefreshMode::kIncremental);
+  const auto serial = run_solve(trace, cluster, placement, provider,
+                                SolveMode::kSerial, nullptr);
   util::ThreadPool pool(3);
   for (int repeat = 0; repeat < 3; ++repeat) {
-    const auto parallel =
-        run_solve(trace, cluster, placement, provider, SolveMode::kParallel,
-                  &pool, RefreshMode::kIncremental);
+    const auto parallel = run_solve(trace, cluster, placement, provider,
+                                    SolveMode::kParallel, &pool);
     expect_bit_identical(serial, parallel);
   }
 }
@@ -202,11 +200,9 @@ TEST(ParallelSolvePool, LazyPrivatePoolHonorsSolveThreads) {
   const auto placement =
       make_placement(SchedulingPolicy::kRoundRobinNode, cluster, 6);
   const flowsim::FluidRateProvider provider(cluster.network());
-  const auto serial =
-      run_solve(trace, cluster, placement, provider, SolveMode::kSerial,
-                nullptr, RefreshMode::kIncremental);
+  const auto serial = run_solve(trace, cluster, placement, provider,
+                                SolveMode::kSerial, nullptr);
   EngineConfig cfg;
-  cfg.refresh = RefreshMode::kIncremental;
   cfg.solve = SolveMode::kParallel;
   cfg.solve_threads = 2;
   const auto parallel =

@@ -1,16 +1,17 @@
-// Heap vs scan next-event selection (sim::QueueMode, the core::EventQueue
-// finish-time index vs the legacy per-event linear scans). The two must be
-// *bit-identical*: the heap keys on exactly the (finish_pred, record) order
-// the scan's argmin uses, and the arithmetic per event is unchanged.
+// The event-core (core::EventQueue finish-time and wake-up heaps) against
+// the reference linear scans that EngineConfig::cross_check re-derives at
+// every event: the next compute wake-up and next completion times, the
+// completing transfer (ties to the lowest record), every queue key, and
+// every task the wake sweep wakes — plus the decision to end the sweep.
+// A cross_check replay must not throw and must be bit-identical to the
+// plain one.
 //
 // The staggered fuzz here deliberately forces mid-flight re-predictions in
 // both directions: hotspot fan-ins make every new transfer shrink its
 // component's rates (finish times grow, increase-key), every completion
 // grows them again (finish times shrink, decrease-key), and a positive
-// barrier cost overshoots predictions so late completions clamp. Under
-// RefreshMode::kCrossCheck the engine additionally re-derives every event
-// choice by the legacy scan and throws the moment heap order diverges from
-// scan order.
+// barrier cost overshoots predictions so late completions clamp and
+// barrier releases cascade through the wake sweep.
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -26,13 +27,11 @@
 namespace bwshare::sim {
 namespace {
 
-SimResult run_cfg(const AppTrace& trace, const topo::ClusterSpec& cluster,
-                  const Placement& placement,
-                  const flowsim::RateProvider& provider, RefreshMode refresh,
-                  QueueMode queue, double barrier_cost) {
+SimResult run_cost(const AppTrace& trace, const topo::ClusterSpec& cluster,
+                   const Placement& placement,
+                   const flowsim::RateProvider& provider,
+                   double barrier_cost) {
   EngineConfig cfg;
-  cfg.refresh = refresh;
-  cfg.queue = queue;
   cfg.barrier_cost = barrier_cost;
   return run_simulation(trace, cluster, placement, provider, cfg);
 }
@@ -52,26 +51,10 @@ TEST_P(QueueFuzz, HeapIsBitIdenticalToScanOnChurningTraces) {
   const auto placement =
       make_placement(SchedulingPolicy::kRandom, cluster, tasks, rng());
   const flowsim::FluidRateProvider provider(cluster.network());
-
-  const auto heap = run_cfg(trace, cluster, placement, provider,
-                            RefreshMode::kIncremental, QueueMode::kHeap,
-                            barrier_cost);
-  const auto scan = run_cfg(trace, cluster, placement, provider,
-                            RefreshMode::kIncremental, QueueMode::kScan,
-                            barrier_cost);
-  expect_bit_identical(heap, scan);
-
-  // kCrossCheck under the heap asserts heap-order == scan-order at every
-  // event (next wake-up, next completion, completing slot) on top of the
-  // per-event full-solve rate check; under the scan it is the legacy
-  // equivalence harness. Both must hold on the same churning trace.
-  const auto crosscheck_heap =
-      run_cfg(trace, cluster, placement, provider, RefreshMode::kCrossCheck,
-              QueueMode::kHeap, barrier_cost);
-  expect_bit_identical(heap, crosscheck_heap);
-  EXPECT_NO_THROW(run_cfg(trace, cluster, placement, provider,
-                          RefreshMode::kCrossCheck, QueueMode::kScan,
-                          barrier_cost));
+  EngineConfig cfg;
+  cfg.barrier_cost = barrier_cost;
+  expect_cross_check_clean(trace, cluster, placement, provider, Scenario{},
+                           cfg);
 }
 
 TEST_P(QueueFuzz, HeapMatchesScanUnderFatTreeCoupling) {
@@ -94,13 +77,7 @@ TEST_P(QueueFuzz, HeapMatchesScanUnderFatTreeCoupling) {
   const auto placement =
       make_placement(SchedulingPolicy::kRoundRobinNode, cluster, tasks);
 
-  const auto heap = run_cfg(trace, cluster, placement, provider,
-                            RefreshMode::kIncremental, QueueMode::kHeap, 0.0);
-  const auto scan = run_cfg(trace, cluster, placement, provider,
-                            RefreshMode::kIncremental, QueueMode::kScan, 0.0);
-  expect_bit_identical(heap, scan);
-  EXPECT_NO_THROW(run_cfg(trace, cluster, placement, provider,
-                          RefreshMode::kCrossCheck, QueueMode::kHeap, 0.0));
+  expect_cross_check_clean(trace, cluster, placement, provider);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueFuzz, ::testing::Range(0, 10));
@@ -112,10 +89,8 @@ TEST(QueueDeterminism, RepeatedHeapRunsAreIdentical) {
   const auto placement =
       make_placement(SchedulingPolicy::kRoundRobinNode, cluster, 7);
   const flowsim::FluidRateProvider provider(cluster.network());
-  const auto a = run_cfg(trace, cluster, placement, provider,
-                         RefreshMode::kIncremental, QueueMode::kHeap, 1e-3);
-  const auto b = run_cfg(trace, cluster, placement, provider,
-                         RefreshMode::kIncremental, QueueMode::kHeap, 1e-3);
+  const auto a = run_cost(trace, cluster, placement, provider, 1e-3);
+  const auto b = run_cost(trace, cluster, placement, provider, 1e-3);
   expect_bit_identical(a, b);
 }
 
