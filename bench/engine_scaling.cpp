@@ -32,8 +32,9 @@
 // EngineConfig::cross_check armed — per-component fresh re-solves, the
 // whole-set solve, and the heap-vs-scan event and wake-order checks — which
 // throws on any divergence and must be bit-identical to the timed replay.
-// The bench exits non-zero if a cross-check replay or any parallel row is
-// not bit-identical to its serial twin.
+// The bench exits 1 if a cross-check replay or any parallel row is not
+// bit-identical to its serial twin, and 2 with an `error:` line on a
+// malformed flag or any bwshare::Error.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -165,7 +166,7 @@ void usage(const char* prog) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
   if (args.get_bool("help", false)) {
     usage(args.program().c_str());
@@ -182,18 +183,29 @@ int main(int argc, char** argv) {
 
   const std::string nodes_list = args.get(
       "nodes", "64,128,256,512,1024,2048,4096,8192,16384,32768,65536");
-  const int rounds = static_cast<int>(args.get_int("rounds", 3));
+  const long rounds_flag = args.get_int("rounds", 3);
+  BWS_CHECK(rounds_flag >= 1 && rounds_flag <= 1000000,
+            "--rounds must be between 1 and 1000000");
+  const int rounds = static_cast<int>(rounds_flag);
   const double bytes = args.get_double("bytes", 4e6);
+  BWS_CHECK(std::isfinite(bytes) && bytes >= 0.0,
+            "--bytes must be a finite non-negative message size");
   const uint64_t seed = static_cast<uint64_t>(args.get_int("seed", 1));
   const long max_crosscheck = args.get_int("max-crosscheck-nodes", 1024);
   const std::string out_path = args.get("out", "BENCH_engine.json");
   const std::string providers = args.get("providers", "fluid");
   const std::string solves = args.get("solve", "serial,parallel");
-  const int threads_flag = static_cast<int>(args.get_int("threads", 0));
+  const long threads_flag = args.get_int("threads", 0);
+  BWS_CHECK(threads_flag >= 0 && threads_flag <= 4096,
+            "--threads must be between 0 (hardware threads) and 4096");
 
   std::vector<int> sizes;
-  for (const auto& tok : split(nodes_list, ','))
-    sizes.push_back(static_cast<int>(parse_size(trim(tok))));
+  for (const auto& tok : split(nodes_list, ',')) {
+    const double n = parse_size(trim(tok));
+    BWS_CHECK(n >= 2 && n <= (1 << 24) && n == std::floor(n),
+              "--nodes expects whole node counts between 2 and 16777216");
+    sizes.push_back(static_cast<int>(n));
+  }
   std::vector<double> churn_rates;
   for (const auto& tok : split(args.get("churn", "0"), ',')) {
     char* end = nullptr;
@@ -204,6 +216,9 @@ int main(int argc, char** argv) {
     churn_rates.push_back(rate);
   }
   std::vector<std::string> provider_names = split(providers, ',');
+  for (const auto& pname : provider_names)
+    BWS_CHECK(pname == "fluid" || pname == "gige",
+              "unknown provider '" + pname + "'");
   bool with_serial = false;
   bool with_parallel = false;
   for (const auto& s : split(solves, ',')) {
@@ -219,8 +234,9 @@ int main(int argc, char** argv) {
 
   // One shared pool for every parallel row — the injection pattern the
   // engine documents for concurrent replays (sweep cells).
-  const int pool_threads =
-      threads_flag > 0 ? threads_flag : util::ThreadPool::hardware_threads();
+  const int pool_threads = threads_flag > 0
+                               ? static_cast<int>(threads_flag)
+                               : util::ThreadPool::hardware_threads();
   std::unique_ptr<util::ThreadPool> pool;
   if (with_parallel) pool = std::make_unique<util::ThreadPool>(pool_threads);
 
@@ -256,12 +272,9 @@ int main(int argc, char** argv) {
       model = models::make_model("gige");
       model_provider = std::make_unique<sim::ModelRateProvider>(model, cal);
       provider = model_provider.get();
-    } else {
-      BWS_CHECK(pname == "fluid", "unknown provider '" + pname + "'");
     }
 
     for (const int n : sizes) {
-      BWS_CHECK(n >= 2, "node counts must be at least 2");
       const auto trace = sparse_matching_trace(n, rounds, bytes, seed);
       // One-round twin of the same schedule: the (R-round - 1-round)
       // allocation delta cancels per-replay setup costs (engine state,
@@ -430,4 +443,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const bwshare::Error& e) {
+  // Malformed flags and engine errors exit like an unknown flag does.
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

@@ -1243,15 +1243,19 @@ class Engine {
   /// stop, is re-derived by scan_next_wake().
   void wake_computers() {
     // `eligible_` is a reused vector kept sorted by task id — it replaces a
-    // std::set that node-allocated on every insert. Task ids are unique here
-    // (one compute_q_ entry per computing task), so id order is total and
-    // the in-place std::sort after each drain reproduces the set's iteration
-    // order exactly; insert/erase churn is a memmove, never an allocation.
+    // std::set that node-allocated on every insert. A woken entry is
+    // tombstoned in place (`woken`) rather than erased, so a batch of k wakes
+    // costs O(k log k) plus one filtering pass at the end. Ids are not
+    // unique: a woken task that re-enters a zero-length compute gets a second
+    // entry with its id, due now, behind the sweep (id == `last`). That entry
+    // must survive to be re-queued, so the tombstone marks the entry, never
+    // the task. Un-woken entries are unique per task (a computing task owns
+    // one), so the unstable sort among equal ids is unobservable.
     const auto drain = [&] {
       bool grew = false;
       while (!compute_q_.empty() &&
              compute_q_.top_time() <= now() + 1e-15) {
-        eligible_.push_back({compute_q_.top(), compute_q_.top_time()});
+        eligible_.push_back({compute_q_.top(), false, compute_q_.top_time()});
         compute_q_.pop();
         grew = true;
       }
@@ -1262,14 +1266,15 @@ class Engine {
     eligible_.clear();
     drain();
     TaskId last = -1;
-    while (!eligible_.empty()) {
+    for (;;) {
+      // Every woken entry has an id <= `last`, so the search lands past it.
       const auto it = std::upper_bound(
           eligible_.begin(), eligible_.end(), last,
           [](TaskId id, const Wake& e) { return id < e.task; });
       if (it == eligible_.end()) break;
       const TaskId t = it->task;
       if (cfg_.cross_check) check_wake(last, t);
-      eligible_.erase(it);
+      it->woken = true;
       last = t;
       state_[static_cast<size_t>(t)] = TaskState::kReady;
       advance_task(t);
@@ -1277,11 +1282,12 @@ class Engine {
     }
     // However the sweep ended, nothing due may remain above `last`.
     if (cfg_.cross_check) check_wake(last, -1);
-    // Entries behind the sweep position (or beyond a break) are re-queued,
-    // ascending id, for the next main-loop turn — the heap's pop order is
+    // Un-woken entries — all behind the sweep position — are re-queued,
+    // ascending id, for the next main-loop turn; the heap's pop order is
     // key-determined, so the push order is immaterial.
     for (const auto& e : eligible_)
-      compute_q_.push(e.when, static_cast<uint64_t>(e.task), e.task);
+      if (!e.woken)
+        compute_q_.push(e.when, static_cast<uint64_t>(e.task), e.task);
     eligible_.clear();
   }
 
@@ -1378,8 +1384,10 @@ class Engine {
   /// One drained compute_q_ entry awaiting its wake (wake_computers).
   struct Wake {
     TaskId task;
+    bool woken;  // tombstone: this entry's wake already ran
     double when;
   };
+  static_assert(sizeof(Wake) == 16, "the tombstone must fit in the padding");
   std::vector<Wake> eligible_;  // wake sweep scratch, sorted by task id
 
   std::vector<Transfer> transfers_;  // slot-addressed; see Transfer::alive

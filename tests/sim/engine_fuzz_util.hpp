@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -65,6 +66,33 @@ inline AppTrace churn_trace(uint64_t seed, int tasks) {
                                          ? 0.0
                                          : rng.uniform(0.0, 0.02)));
       trace.push(t, Event::wait_all());
+    }
+    trace.push_barrier_all();
+  }
+  return trace;
+}
+
+/// Per round: a seeded random perfect matching of rendezvous messages,
+/// rounds separated by barriers — the engine_scaling bench scenario,
+/// shrunk. Fresh pairings every round exercise slot/component/match-queue
+/// reuse across rounds; the pairs are disjoint and equal-sized, so each
+/// round's receivers wake at one instant (the widest wake batch).
+inline AppTrace matching_trace(int nodes, int rounds, uint64_t seed,
+                               double bytes = 4e6) {
+  AppTrace trace(nodes);
+  Rng rng(seed);
+  std::vector<int> order(static_cast<size_t>(nodes));
+  std::iota(order.begin(), order.end(), 0);
+  for (int r = 0; r < rounds; ++r) {
+    for (int i = nodes - 1; i > 0; --i) {
+      const int j = static_cast<int>(rng.below(static_cast<uint64_t>(i + 1)));
+      std::swap(order[static_cast<size_t>(i)], order[static_cast<size_t>(j)]);
+    }
+    for (int p = 0; p + 1 < nodes; p += 2) {
+      const TaskId src = order[static_cast<size_t>(p)];
+      const TaskId dst = order[static_cast<size_t>(p + 1)];
+      trace.push(src, Event::send(dst, bytes));
+      trace.push(dst, Event::recv(src, bytes));
     }
     trace.push_barrier_all();
   }

@@ -13,44 +13,18 @@
 // barrier-cost path (arrive_barrier -> flush -> clock advance) is held to
 // the same standard.
 #include <cstdint>
-#include <numeric>
-#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "engine_fuzz_util.hpp"
 #include "flowsim/fluid_network.hpp"
 #include "sim/engine.hpp"
 #include "sim/schedule.hpp"
 #include "topo/cluster.hpp"
 #include "util/alloc_counter.hpp"
-#include "util/rng.hpp"
 
 namespace bwshare::sim {
 namespace {
-
-// Per round: a seeded random perfect matching of rendezvous messages,
-// rounds separated by barriers — the bench scenario, shrunk. Fresh pairings
-// every round exercise slot/component/match-queue reuse across rounds.
-AppTrace matching_trace(int nodes, int rounds, uint64_t seed) {
-  AppTrace trace(nodes);
-  Rng rng(seed);
-  std::vector<int> order(static_cast<size_t>(nodes));
-  std::iota(order.begin(), order.end(), 0);
-  for (int r = 0; r < rounds; ++r) {
-    for (int i = nodes - 1; i > 0; --i) {
-      const int j = static_cast<int>(rng.below(static_cast<uint64_t>(i + 1)));
-      std::swap(order[static_cast<size_t>(i)], order[static_cast<size_t>(j)]);
-    }
-    for (int p = 0; p + 1 < nodes; p += 2) {
-      const TaskId src = order[static_cast<size_t>(p)];
-      const TaskId dst = order[static_cast<size_t>(p + 1)];
-      trace.push(src, Event::send(dst, 4e6));
-      trace.push(dst, Event::recv(src, 4e6));
-    }
-    trace.push_barrier_all();
-  }
-  return trace;
-}
 
 class EngineAllocTest : public ::testing::TestWithParam<double> {};
 

@@ -94,5 +94,82 @@ TEST(QueueDeterminism, RepeatedHeapRunsAreIdentical) {
   expect_bit_identical(a, b);
 }
 
+// --- the wake sweep -------------------------------------------------------
+//
+// wake_computers() tombstones each woken entry of its sorted batch in
+// place and re-queues only the un-woken ones when the sweep ends.
+// These traces pin the cases that make the tombstone per entry: a second
+// entry with a woken task's id, and a drain that grows mid-sweep on both
+// sides of the sweep position. cross_check (d) re-derives every wake and
+// the end of every sweep; the makespans are pinned exactly.
+
+TEST(WakeSweep, ZeroLengthComputeBehindTheSweepIsRequeued) {
+  // Every task wakes at t=1 and re-enters a zero-length compute, due now:
+  // a second entry with the id just woken, behind the sweep position. It
+  // must survive the sweep (dropping it deadlocks the task; keeping the
+  // woken entry too wakes the task twice).
+  constexpr int kTasks = 6;
+  AppTrace trace(kTasks);
+  for (TaskId t = 0; t < kTasks; ++t) {
+    trace.push(t, Event::compute(1.0));
+    trace.push(t, Event::compute(0.0));
+  }
+  trace.push_barrier_all();
+  for (TaskId t = 0; t < kTasks; ++t) trace.push(t, Event::compute(0.25));
+  const auto cluster = topo::ClusterSpec::uniform(
+      "wakedup", kTasks, 1, topo::gigabit_ethernet_calibration());
+  const flowsim::FluidRateProvider provider(cluster.network());
+  const auto result = expect_cross_check_clean(
+      trace, cluster, identity_placement(kTasks), provider);
+  EXPECT_EQ(result.makespan, 1.25);
+}
+
+TEST(WakeSweep, BarrierReleaseGrowsTheDrainOnBothSidesOfTheSweep) {
+  // Job 0 (tasks 1-4) meets at a barrier; task 1 arrives last, at t=1,
+  // from inside the sweep. The release charges the barrier cost (the clock
+  // jumps to 1.125) and starts zero-length computes on tasks 1-4, so the
+  // drain grows mid-sweep: ids 1 (a second entry) and 2-4, on both sides of
+  // the sweep position, plus job 1's tasks 0 and 5, whose computes fell due
+  // during the cost interval. The sweep wakes 2-5; 0 and 1 are re-queued.
+  AppTrace trace(6);
+  for (const TaskId t : {2, 3, 4}) trace.push(t, Event::compute(0.5));
+  trace.push(1, Event::compute(1.0));
+  for (TaskId t = 1; t <= 4; ++t) {
+    trace.push(t, Event::barrier());
+    trace.push(t, Event::compute(0.0));
+    trace.push(t, Event::compute(0.25));
+  }
+  for (const TaskId t : {0, 5}) {
+    trace.push(t, Event::compute(1.0625));
+    trace.push(t, Event::compute(0.5));
+  }
+  Scenario scenario;
+  scenario.job_of = {1, 0, 0, 0, 0, 1};
+  const auto cluster = topo::ClusterSpec::uniform(
+      "wakegrow", 6, 1, topo::gigabit_ethernet_calibration());
+  const flowsim::FluidRateProvider provider(cluster.network());
+  EngineConfig cfg;
+  cfg.barrier_cost = 0.125;
+  const auto result = expect_cross_check_clean(
+      trace, cluster, identity_placement(6), provider, scenario, cfg);
+  // Job 1's wakes slip to the end of the cost interval: 1.125 + 0.5.
+  EXPECT_EQ(result.makespan, 1.625);
+  EXPECT_EQ(result.tasks[1].finish_time, 1.375);
+}
+
+TEST(WakeSweep, LargeSameInstantBatchMatchesTheScan) {
+  // One matching round on 4096 tasks: all 2048 receivers finish their
+  // equal transfers at one instant and wake in a single sweep.
+  constexpr int kTasks = 4096;
+  const auto trace = matching_trace(kTasks, 1, /*seed=*/5);
+  const auto cluster = topo::ClusterSpec::uniform(
+      "wakebatch", kTasks, 1, topo::gigabit_ethernet_calibration());
+  const flowsim::FluidRateProvider provider(cluster.network());
+  const auto result = expect_cross_check_clean(
+      trace, cluster, identity_placement(kTasks), provider);
+  EXPECT_EQ(result.comms.size(), static_cast<size_t>(kTasks / 2));
+  EXPECT_EQ(result.makespan, 0.042711666666666669);
+}
+
 }  // namespace
 }  // namespace bwshare::sim
