@@ -5,9 +5,9 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "flowsim/fluid_network.hpp"
 #include "flowsim/packet.hpp"
 #include "graph/schemes.hpp"
+#include "mpi/measurement.hpp"
 #include "stats/descriptive.hpp"
 #include "topo/network.hpp"
 #include "util/strings.hpp"
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     TextTable table({"scheme", "comm", "fluid", "packet", "ratio"});
     stats::Accumulator agreement;
     for (const auto& c : cases) {
-      const auto fluid = flowsim::measure_penalties(c.g, cal);
+      const auto fluid = mpi::completion_penalties(c.g, cal);
       flowsim::PacketSimConfig cfg;
       cfg.cal = cal;
       const auto packet = flowsim::measure_penalties_packet(c.g, cfg);

@@ -1,10 +1,10 @@
 // The event-core's time source and reactor. core::Clock is the one
 // monotone simulation clock both backends advance (sim::Engine hops it to
-// the next queue entry, flowsim::des charges scheduled handlers against
-// it); core::Reactor pairs a Clock with an EventQueue of handlers — the
-// classic discrete-event loop — and is what flowsim::des::Simulator now
-// wraps. See docs/ARCHITECTURE.md ("The event-core") for how the two
-// simulators share this layer.
+// the next queue entry, the packet simulators charge scheduled handlers
+// against it); core::Reactor pairs a Clock with an EventQueue of handlers —
+// the classic discrete-event loop — and the packet simulators in
+// flowsim/packet.cpp drive one directly. See docs/ARCHITECTURE.md ("The
+// event-core") for how the two simulators share this layer.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "flowsim/fluid_network.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/error.hpp"
 
@@ -272,79 +271,6 @@ std::vector<int> FluidRateProvider::coupling_keys(topo::NodeId src,
     keys.push_back(l);
   }
   return keys;
-}
-
-std::vector<double> measure_scheme(const graph::CommGraph& graph,
-                                   const RateProvider& provider,
-                                   double latency) {
-  const int n = graph.size();
-  std::vector<double> finish(static_cast<size_t>(n), 0.0);
-  if (n == 0) return finish;
-
-  std::vector<double> remaining(static_cast<size_t>(n));
-  std::vector<bool> done(static_cast<size_t>(n), false);
-  for (graph::CommId i = 0; i < n; ++i)
-    remaining[static_cast<size_t>(i)] = graph.comm(i).bytes;
-
-  double now = 0.0;
-  int active_count = n;
-  while (active_count > 0) {
-    // Rebuild the active sub-graph (original labels preserved so debugging
-    // output stays readable).
-    graph::CommGraph active;
-    std::vector<graph::CommId> index;  // active id -> original id
-    for (graph::CommId i = 0; i < n; ++i) {
-      if (done[static_cast<size_t>(i)]) continue;
-      const auto& c = graph.comm(i);
-      const std::string_view lbl = graph.label(i);
-      if (lbl.empty())
-        active.add(c.src, c.dst, remaining[static_cast<size_t>(i)]);
-      else
-        active.add(std::string(lbl), c.src, c.dst,
-                   remaining[static_cast<size_t>(i)]);
-      index.push_back(i);
-    }
-    const auto rates = provider.rates(active);
-    BWS_ASSERT(rates.size() == index.size(), "rate provider size mismatch");
-
-    // Next completion.
-    double dt = std::numeric_limits<double>::infinity();
-    for (size_t k = 0; k < index.size(); ++k) {
-      BWS_CHECK(rates[k] > 0.0, "active communication got zero rate");
-      dt = std::min(dt, remaining[static_cast<size_t>(index[k])] / rates[k]);
-    }
-    now += dt;
-    for (size_t k = 0; k < index.size(); ++k) {
-      const graph::CommId i = index[k];
-      remaining[static_cast<size_t>(i)] -= rates[k] * dt;
-      if (remaining[static_cast<size_t>(i)] <= 1e-6) {
-        done[static_cast<size_t>(i)] = true;
-        finish[static_cast<size_t>(i)] = now + latency;
-        --active_count;
-      }
-    }
-  }
-  return finish;
-}
-
-std::vector<double> measure_scheme_fluid(const graph::CommGraph& graph,
-                                         const topo::NetworkCalibration& cal) {
-  const FluidRateProvider provider(cal);
-  return measure_scheme(graph, provider, cal.latency);
-}
-
-std::vector<double> measure_penalties(const graph::CommGraph& graph,
-                                      const topo::NetworkCalibration& cal) {
-  const auto times = measure_scheme_fluid(graph, cal);
-  std::vector<double> penalties(times.size(), 1.0);
-  for (graph::CommId i = 0; i < graph.size(); ++i) {
-    const auto& c = graph.comm(i);
-    const double t_ref = graph.is_intra_node(i)
-                             ? cal.latency + c.bytes / cal.shm_bandwidth
-                             : cal.reference_time(c.bytes);
-    penalties[static_cast<size_t>(i)] = times[static_cast<size_t>(i)] / t_ref;
-  }
-  return penalties;
 }
 
 std::vector<double> saturated_penalties(const graph::CommGraph& graph,

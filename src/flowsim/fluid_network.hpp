@@ -1,12 +1,13 @@
 // The fluid "measured" substrate: maps a communication graph onto a
 // weighted max-min allocation problem shaped by the interconnect calibration
-// (per-stream efficiency, duplex bus, RX weighting) and integrates flow
-// completion over time.
+// (per-stream efficiency, duplex bus, RX weighting).
 //
-// This plays the role of the paper's physical clusters: every experiment's
-// "measured" times T_m come from here (or from the packet-level simulators
-// in flowsim/packet.hpp, which agree with the fluid model within a few
-// percent — see bench/abl_fluid_vs_packet).
+// FluidRateProvider plays the role of the paper's physical clusters: replayed
+// through sim::run_simulation it yields the "measured" side of every
+// experiment (mpi::measure_times for the §IV-B sender times T_m,
+// mpi::completion_penalties for per-comm completion penalties). The
+// packet-level simulators in flowsim/packet.hpp are its independent
+// cross-check and agree within a few percent — see bench/abl_fluid_vs_packet.
 //
 // See docs/PERFORMANCE.md for the locality contract the incremental
 // sim::Engine builds on: it groups transfers into components closed under
@@ -115,32 +116,6 @@ class FluidRateProvider final : public RateProvider {
   topo::NetworkCalibration cal_;
   std::optional<topo::FatTree> topology_;
 };
-
-/// One communication's simulated timing.
-struct CommTiming {
-  double start = 0.0;
-  double finish = 0.0;
-  [[nodiscard]] double duration() const { return finish - start; }
-};
-
-/// Run all communications of `graph` starting at t=0 under `provider`,
-/// integrating piecewise-constant rates until each completes. Returns
-/// per-comm completion times (graph order), including one-way latency.
-[[nodiscard]] std::vector<double> measure_scheme(const graph::CommGraph& graph,
-                                                 const RateProvider& provider,
-                                                 double latency);
-
-/// Convenience: fluid measurement under a calibration (the experiments'
-/// standard T_m source).
-[[nodiscard]] std::vector<double> measure_scheme_fluid(
-    const graph::CommGraph& graph, const topo::NetworkCalibration& cal);
-
-/// Per-communication penalties relative to the unconflicted reference time
-/// at each comm's size (the paper's P_i = T_i / T_ref definition, §IV-B).
-/// Completion-based: comms that outlive their rivals speed up at the end,
-/// which dilutes their penalty.
-[[nodiscard]] std::vector<double> measure_penalties(
-    const graph::CommGraph& graph, const topo::NetworkCalibration& cal);
 
 /// Instantaneous penalties while *all* communications of the scheme are in
 /// flight: p_i = reference_rate / rate_i. This is the regime the paper's

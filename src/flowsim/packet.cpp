@@ -5,7 +5,7 @@
 #include <map>
 #include <memory>
 
-#include "flowsim/des.hpp"
+#include "core/clock.hpp"
 #include "util/error.hpp"
 
 namespace bwshare::flowsim {
@@ -25,8 +25,10 @@ class FifoServer {
  public:
   using Sink = std::function<void(Packet)>;
 
-  FifoServer(Simulator& sim, double service_time, Sink sink)
-      : sim_(sim), service_time_(service_time), sink_(std::move(sink)) {}
+  FifoServer(core::Reactor& reactor, double service_time, Sink sink)
+      : reactor_(reactor),
+        service_time_(service_time),
+        sink_(std::move(sink)) {}
 
   void push(Packet p) {
     queue_.push_back(p);
@@ -45,13 +47,13 @@ class FifoServer {
     busy_ = true;
     const Packet p = queue_.front();
     queue_.pop_front();
-    sim_.schedule_in(service_time_, [this, p] {
+    reactor_.schedule_in(service_time_, [this, p] {
       sink_(p);
       start_next();
     });
   }
 
-  Simulator& sim_;
+  core::Reactor& reactor_;
   double service_time_;
   Sink sink_;
   std::deque<Packet> queue_;
@@ -66,9 +68,9 @@ class HostIoServer {
  public:
   using Sink = std::function<void(Packet, bool /*rx*/)>;
 
-  HostIoServer(Simulator& sim, double service_time, double rx_weight,
+  HostIoServer(core::Reactor& reactor, double service_time, double rx_weight,
                Sink sink)
-      : sim_(sim),
+      : reactor_(reactor),
         service_time_(service_time),
         rx_weight_(rx_weight),
         sink_(std::move(sink)) {}
@@ -122,13 +124,13 @@ class HostIoServer {
     const bool rx = best->rx;
     best->packets.pop_front();
     best->served += 1.0;
-    sim_.schedule_in(service_time_, [this, p, rx] {
+    reactor_.schedule_in(service_time_, [this, p, rx] {
       sink_(p, rx);
       start_next();
     });
   }
 
-  Simulator& sim_;
+  core::Reactor& reactor_;
   double service_time_;
   double rx_weight_;
   Sink sink_;
@@ -188,7 +190,7 @@ class PacketSim {
 
   std::vector<double> run() {
     for (graph::CommId i = 0; i < graph_.size(); ++i) try_inject(i);
-    size_t events = sim_.run();
+    size_t events = reactor_.run();
     BWS_CHECK(events < cfg_.max_events, "packet simulation exceeded max_events");
 
     std::vector<double> times(flows_.size());
@@ -205,7 +207,7 @@ class PacketSim {
     if (it == uplinks_.end()) {
       it = uplinks_
                .emplace(node, std::make_unique<FifoServer>(
-                                  sim_, ser_link_,
+                                  reactor_, ser_link_,
                                   [this](Packet p) { after_uplink(p); }))
                .first;
     }
@@ -217,7 +219,7 @@ class PacketSim {
     if (it == downlinks_.end()) {
       it = downlinks_
                .emplace(node, std::make_unique<FifoServer>(
-                                  sim_, ser_link_,
+                                  reactor_, ser_link_,
                                   [this](Packet p) { after_downlink(p); }))
                .first;
     }
@@ -234,7 +236,7 @@ class PacketSim {
       const double rx_weight = saturated ? cfg_.cal.rx_bus_weight : 1.0;
       it = host_io_
                .emplace(node, std::make_unique<HostIoServer>(
-                                  sim_, ser, rx_weight,
+                                  reactor_, ser, rx_weight,
                                   [this](Packet p, bool rx) {
                                     after_host_io(p, rx);
                                   }))
@@ -262,18 +264,17 @@ class PacketSim {
     if (f.injected >= f.total_packets || pending_inject_[flow_id]) return;
     if (!may_inject(f)) return;
 
-    const double when = std::max(sim_.now(), f.next_pace);
+    const double when = std::max(reactor_.now(), f.next_pace);
     if (f.intra_node) {
       // Shared-memory copy: paced at the shm bandwidth, no network stages.
       const double shm_pace = cfg_.cal.mtu / cfg_.cal.shm_bandwidth;
       pending_inject_[flow_id] = true;
-      sim_.schedule_at(std::max(sim_.now(), f.next_pace), [this, flow_id,
-                                                           shm_pace] {
+      reactor_.schedule_at(when, [this, flow_id, shm_pace] {
         auto& fl = flows_[static_cast<size_t>(flow_id)];
         pending_inject_[flow_id] = false;
         ++fl.injected;
-        fl.next_pace = sim_.now() + shm_pace;
-        sim_.schedule_in(shm_pace, [this, flow_id] { deliver(flow_id); });
+        fl.next_pace = reactor_.now() + shm_pace;
+        reactor_.schedule_in(shm_pace, [this, flow_id] { deliver(flow_id); });
         try_inject(flow_id);
       });
       return;
@@ -282,12 +283,12 @@ class PacketSim {
     // All modes: injection passes the source host IO engine first (NIC DMA),
     // then the mode-specific network stage.
     pending_inject_[flow_id] = true;
-    sim_.schedule_at(when, [this, flow_id] {
+    reactor_.schedule_at(when, [this, flow_id] {
       auto& fl = flows_[static_cast<size_t>(flow_id)];
       pending_inject_[flow_id] = false;
       ++fl.injected;
       ++fl.in_network;
-      fl.next_pace = sim_.now() + pace_;
+      fl.next_pace = reactor_.now() + pace_;
       Packet p{flow_id, fl.injected == fl.total_packets};
       host_io(fl.src).push(p, /*rx=*/false);
       try_inject(flow_id);
@@ -318,7 +319,7 @@ class PacketSim {
     auto& f = flows_[static_cast<size_t>(p.flow)];
     if (cfg_.cal.flow_control == FlowControlKind::kCreditBased) {
       // Credit returns to the sender one propagation delay later.
-      sim_.schedule_in(cfg_.cal.latency, [this, flow = p.flow] {
+      reactor_.schedule_in(cfg_.cal.latency, [this, flow = p.flow] {
         --flows_[static_cast<size_t>(flow)].in_network;
         try_inject(flow);
       });
@@ -340,7 +341,7 @@ class PacketSim {
       link_busy_[f.src * 2] = true;
       link_busy_[f.dst * 2 + 1] = true;
       // Cut-through: one serialization across the whole path.
-      sim_.schedule_in(ser_link_, [this, p] {
+      reactor_.schedule_in(ser_link_, [this, p] {
         auto& fl = flows_[static_cast<size_t>(p.flow)];
         link_busy_[fl.src * 2] = false;
         link_busy_[fl.dst * 2 + 1] = false;
@@ -356,7 +357,7 @@ class PacketSim {
     if (cfg_.cal.flow_control == FlowControlKind::kTcpPauseFrames &&
         !f.intra_node) {
       // ACK after one propagation delay opens the window (and grows cwnd).
-      sim_.schedule_in(cfg_.cal.latency, [this, flow_id] {
+      reactor_.schedule_in(cfg_.cal.latency, [this, flow_id] {
         auto& fl = flows_[static_cast<size_t>(flow_id)];
         ++fl.acked;
         fl.cwnd = std::min<double>(cfg_.window_packets, fl.cwnd + 1.0);
@@ -364,7 +365,7 @@ class PacketSim {
       });
     }
     if (f.delivered == f.total_packets) {
-      f.finish = sim_.now();
+      f.finish = reactor_.now();
     } else {
       // Delivery may reopen the Stop&Go pipeline (and never hurts others).
       try_inject(flow_id);
@@ -373,7 +374,7 @@ class PacketSim {
 
   const graph::CommGraph& graph_;
   PacketSimConfig cfg_;
-  Simulator sim_;
+  core::Reactor reactor_;
   double ser_link_ = 0.0;
   double ser_io_ = 0.0;
   double pace_ = 0.0;

@@ -15,8 +15,6 @@ sim::AppTrace build_job(const graph::CommGraph& scheme, int rounds) {
   sim::AppTrace trace(2 * scheme.size());
   for (int round = 0; round < rounds; ++round) {
     for (graph::CommId i = 0; i < scheme.size(); ++i) {
-      const auto& c = scheme.comm(i);
-      (void)c;
       trace.push(2 * i, sim::Event::send(2 * i + 1, scheme.comm(i).bytes));
       trace.push(2 * i + 1, sim::Event::recv(2 * i, scheme.comm(i).bytes));
     }
@@ -120,6 +118,25 @@ std::vector<double> measure_times(const graph::CommGraph& scheme,
                                   const flowsim::RateProvider& provider,
                                   const MeasurementConfig& config) {
   return measure_scheme_penalties(scheme, cluster, provider, config).times;
+}
+
+std::vector<double> completion_penalties(const graph::CommGraph& scheme,
+                                         const topo::NetworkCalibration& cal) {
+  if (scheme.empty()) return {};
+  const auto cluster =
+      topo::ClusterSpec::uniform("fluid", scheme.num_nodes(), 1, cal);
+  const flowsim::FluidRateProvider provider(cal);
+  const auto result = sim::run_simulation(build_job(scheme, 1), cluster,
+                                          build_placement(scheme), provider);
+  BWS_ASSERT(static_cast<int>(result.comms.size()) == scheme.size(),
+             "one record per communication expected");
+  std::vector<double> penalties(result.comms.size());
+  for (size_t i = 0; i < penalties.size(); ++i) {
+    BWS_ASSERT(result.comms[i].src_task == 2 * static_cast<int>(i),
+               "records must come out in comm order");
+    penalties[i] = result.comms[i].penalty;
+  }
+  return penalties;
 }
 
 }  // namespace bwshare::mpi

@@ -50,4 +50,15 @@ struct PenaltyMeasurement {
     const graph::CommGraph& scheme, const topo::ClusterSpec& cluster,
     const flowsim::RateProvider& provider, const MeasurementConfig& config = {});
 
+/// Per-communication completion penalties of one simultaneous start of
+/// `scheme` on the fluid substrate under `cal`: a single round of the
+/// measurement job replayed through sim::run_simulation with a
+/// FluidRateProvider, one node per scheme node. Each entry is the engine's
+/// CommRecord::penalty, (finish - start) / unconflicted reference duration
+/// (§IV-B's P_i = T_i / T_ref), in comm order. Completion-based: comms that
+/// outlive their rivals speed up at the end, which dilutes their penalty. An
+/// empty scheme yields no penalties.
+[[nodiscard]] std::vector<double> completion_penalties(
+    const graph::CommGraph& scheme, const topo::NetworkCalibration& cal);
+
 }  // namespace bwshare::mpi

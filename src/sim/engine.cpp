@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <span>
 #include <type_traits>
 
@@ -913,7 +912,7 @@ class Engine {
     const bool parallel =
         cfg_.solve == SolveMode::kParallel && solve_list_.size() > 1;
     if (parallel) {
-      util::ThreadPool& pool = solve_pool();
+      util::ThreadPool& pool = *cfg_.solve_pool;
       util::TaskGroup group(pool);
       // Chunked round-robin: enough tasks to balance uneven component
       // sizes, few enough to keep per-task overhead negligible.
@@ -1021,15 +1020,6 @@ class Engine {
       tr.finish_pred = tr.advance_time + tr.remaining / tr.rate;
       transfer_q_.update(tr.qh, tr.finish_pred);
     }
-  }
-
-  /// The pool parallel flushes run on: the injected one, else a lazily
-  /// created private pool (solve_threads workers).
-  util::ThreadPool& solve_pool() {
-    if (cfg_.solve_pool != nullptr) return *cfg_.solve_pool;
-    if (!owned_pool_)
-      owned_pool_ = std::make_unique<util::ThreadPool>(cfg_.solve_threads);
-    return *owned_pool_;
   }
 
   /// Alive transfer slots in posting (record) order.
@@ -1403,7 +1393,6 @@ class Engine {
   std::vector<double> staged_rates_;              // staged rates, flat
   std::vector<size_t> staged_off_;                // per-component offsets
   std::vector<double> oracle_rates_;              // cross_check scratch
-  std::unique_ptr<util::ThreadPool> owned_pool_;  // lazy kParallel fallback
   // Component ownership as dense arrays: node_owner_ is sized to the cluster
   // up front; key_owner_ grows to the high-water coupling-key id. -1 = free.
   // Entries are erased (reset to -1) exactly once, at dissolve, so plain
@@ -1431,6 +1420,9 @@ SimResult run_simulation(const AppTrace& trace,
                          const Scenario& scenario,
                          const EngineConfig& config) {
   BWS_CHECK(trace.num_tasks() >= 1, "trace needs at least one task");
+  BWS_CHECK(config.solve != SolveMode::kParallel ||
+                config.solve_pool != nullptr,
+            "SolveMode::kParallel needs an injected EngineConfig::solve_pool");
   scenario.validate(trace.num_tasks(), cluster.num_nodes());
   Engine engine(trace, cluster, placement, provider, scenario, config);
   return engine.run();

@@ -87,13 +87,9 @@ struct EngineConfig {
   SolveMode solve = SolveMode::kSerial;
   /// Pool for SolveMode::kParallel (not owned; must outlive the
   /// simulation). Inject one shared pool per process so concurrent engines
-  /// (e.g. sweep cells) don't oversubscribe the machine. When null and
-  /// solve == kParallel, the engine lazily creates a private pool with
-  /// `solve_threads` workers.
+  /// (e.g. sweep cells) don't oversubscribe the machine. Required when
+  /// solve == kParallel: run_simulation rejects a null pool up front.
   util::ThreadPool* solve_pool = nullptr;
-  /// Worker count for the lazily created private pool (0 = hardware).
-  /// Ignored when `solve_pool` is injected.
-  int solve_threads = 0;
   /// Cross-query component-solution memo (sim/solve_memo.hpp; not owned,
   /// must outlive the simulation). When set, every component rate solve
   /// first consults the memo — a hit returns the cached bits, which the

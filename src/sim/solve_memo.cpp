@@ -14,7 +14,6 @@ bool SolveMemo::lookup(uint64_t key, std::vector<double>& rates,
   const auto it = staged_.find(key);
   if (it != staged_.end()) {
     rates = it->second;
-    ++staged_hits_;
     from_frozen = false;
     return true;
   }
@@ -30,11 +29,6 @@ void SolveMemo::stage(uint64_t key, const std::vector<double>& rates) {
 size_t SolveMemo::frozen_hits() const {
   std::lock_guard<std::mutex> lock(mu_);
   return frozen_hits_;
-}
-
-size_t SolveMemo::staged_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return staged_hits_;
 }
 
 size_t SolveMemo::misses() const {

@@ -85,8 +85,6 @@ class SolveMemo {
   /// component solve performs exactly one lookup and the solve sequence is
   /// part of the engine's bit-identical contract.
   [[nodiscard]] size_t frozen_hits() const;
-  /// Hits answered by this replay's own staged entries.
-  [[nodiscard]] size_t staged_hits() const;
   [[nodiscard]] size_t misses() const;
 
  private:
@@ -97,7 +95,6 @@ class SolveMemo {
   mutable std::mutex mu_;
   std::map<uint64_t, std::vector<double>> staged_;
   size_t frozen_hits_ = 0;
-  size_t staged_hits_ = 0;
   size_t misses_ = 0;
 };
 

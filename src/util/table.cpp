@@ -1,26 +1,18 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
-#include "util/csv.hpp"
-#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace bwshare {
 
 TextTable::TextTable(std::vector<std::string> headers)
-    : headers_(std::move(headers)) {
-  BWS_CHECK(!headers_.empty(), "table needs at least one column");
-}
+    : csv_(std::move(headers)) {}
 
 void TextTable::add_row(std::vector<std::string> cells) {
-  BWS_CHECK(cells.size() == headers_.size(),
-            strformat("row has %zu cells, table has %zu columns", cells.size(),
-                      headers_.size()));
-  rows_.push_back(std::move(cells));
+  csv_.add_row(std::move(cells));
 }
 
 void TextTable::add_row_numeric(const std::string& label,
@@ -34,9 +26,10 @@ void TextTable::add_row_numeric(const std::string& label,
 }
 
 std::string TextTable::render(int indent) const {
-  std::vector<size_t> widths(headers_.size());
-  for (size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
-  for (const auto& row : rows_)
+  const auto& header = csv_.header();
+  std::vector<size_t> widths(header.size());
+  for (size_t c = 0; c < header.size(); ++c) widths[c] = header[c].size();
+  for (const auto& row : csv_.rows())
     for (size_t c = 0; c < row.size(); ++c)
       widths[c] = std::max(widths[c], row[c].size());
 
@@ -51,34 +44,13 @@ std::string TextTable::render(int indent) const {
     }
     os << '\n';
   };
-  emit_row(headers_);
+  emit_row(header);
   size_t total = margin.size();
   for (size_t c = 0; c < widths.size(); ++c)
     total += widths[c] + (c + 1 < widths.size() ? 2 : 0);
   os << margin << std::string(total - margin.size(), '-') << '\n';
-  for (const auto& row : rows_) emit_row(row);
+  for (const auto& row : csv_.rows()) emit_row(row);
   return os.str();
-}
-
-std::string TextTable::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << util::csv_escape(cells[c]);
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
-void TextTable::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  BWS_CHECK(out.good(), "cannot open '" + path + "' for writing");
-  out << to_csv();
-  BWS_CHECK(out.good(), "error while writing '" + path + "'");
 }
 
 void print_banner(std::ostream& os, const std::string& title) {

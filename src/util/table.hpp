@@ -7,9 +7,12 @@
 #include <string>
 #include <vector>
 
+#include "util/csv.hpp"
+
 namespace bwshare {
 
-/// A simple row/column table with aligned text rendering.
+/// A simple row/column table with aligned text rendering. Header and rows
+/// live in a util::CsvWriter, which validates row width and renders the CSV.
 class TextTable {
  public:
   /// Create a table with the given column headers.
@@ -22,22 +25,20 @@ class TextTable {
   void add_row_numeric(const std::string& label,
                        const std::vector<double>& values, int precision = 3);
 
-  [[nodiscard]] size_t num_rows() const { return rows_.size(); }
-  [[nodiscard]] size_t num_cols() const { return headers_.size(); }
+  [[nodiscard]] size_t num_rows() const { return csv_.num_rows(); }
 
   /// Render with padded columns, a header underline and `indent` spaces of
   /// left margin.
   [[nodiscard]] std::string render(int indent = 2) const;
 
   /// Render as RFC-4180-ish CSV (quotes cells containing commas/quotes).
-  [[nodiscard]] std::string to_csv() const;
+  [[nodiscard]] std::string to_csv() const { return csv_.render(); }
 
   /// Write CSV to a file; throws bwshare::Error on I/O failure.
-  void write_csv(const std::string& path) const;
+  void write_csv(const std::string& path) const { csv_.write_file(path); }
 
  private:
-  std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;
+  util::CsvWriter csv_;
 };
 
 /// Print a section banner used by the bench binaries.

@@ -1,5 +1,5 @@
 // core::Clock and core::Reactor — the event-core's time source and the
-// handler-driven loop flowsim::des::Simulator wraps. Pins monotonicity,
+// handler-driven loop the packet simulators run on. Pins monotonicity,
 // (time, FIFO) dispatch order, max_time cut-off, and cancel semantics
 // including stale-handle safety.
 #include "core/clock.hpp"

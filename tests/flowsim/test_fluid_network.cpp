@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "graph/schemes.hpp"
+#include "mpi/measurement.hpp"
+#include "topo/cluster.hpp"
 #include "topo/fattree.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/arena.hpp"
@@ -97,7 +99,7 @@ AllocationProblem reference_problem(const graph::CommGraph& active,
 }
 
 std::vector<double> penalties(int scheme, const topo::NetworkCalibration& cal) {
-  return measure_penalties(fig2_scheme(scheme), cal);
+  return mpi::completion_penalties(fig2_scheme(scheme), cal);
 }
 
 // Fig-2 reports penalties in the fully saturated regime (all 20 MB streams
@@ -151,6 +153,34 @@ TEST(FluidSubstrate, Fig2InfinibandColumn) {
   EXPECT_NEAR(s5[4], 2.035, 0.06);
 }
 
+TEST(FluidSubstrate, CompletionPenaltiesMatchPinnedFig2S5) {
+  // Fig 2 S5 at 20 MB, comms a..e, pinned at %.17g. The engine's completion
+  // penalties must stay within 1e-15 relative of these: the fig-2 tests
+  // above only hold them to the paper's two-digit precision.
+  struct Pin {
+    topo::NetworkCalibration cal;
+    std::vector<double> expected;
+  };
+  const Pin pins[] = {
+      {gigabit_ethernet_calibration(),
+       {2.9995782139704898, 2.9995782139704898, 2.9995782139704898, 1.0,
+        2.7950758966325986}},
+      {myrinet2000_calibration(),
+       {3.7246371372805576, 3.7246371372805576, 3.7246371372805576,
+        1.2130173977558154, 2.5033245905439263}},
+      {infiniband_calibration(),
+       {3.1947058404820021, 3.1947058404820021, 3.1947058404820021,
+        1.1409590796775131, 2.0349076453679515}},
+  };
+  for (const auto& pin : pins) {
+    const auto p = penalties(5, pin.cal);
+    ASSERT_EQ(p.size(), pin.expected.size()) << to_string(pin.cal.tech);
+    for (size_t i = 0; i < p.size(); ++i)
+      EXPECT_NEAR(p[i], pin.expected[i], 1e-15 * pin.expected[i])
+          << to_string(pin.cal.tech) << " comm " << i;
+  }
+}
+
 TEST(FluidSubstrate, Fig2SharingOrderAcrossNetworks) {
   // Fig 2's headline observation: GigE shares best, Myrinet worst.
   for (int scheme = 2; scheme <= 3; ++scheme) {
@@ -179,7 +209,7 @@ TEST(FluidSubstrate, RingIsConflictFree) {
   // bus, which charges hosts that both send and receive.
   const auto cal = myrinet2000_calibration();
   const auto g = graph::schemes::ring(6, 4e6);
-  const auto p = measure_penalties(g, cal);
+  const auto p = mpi::completion_penalties(g, cal);
   for (double v : p) {
     EXPECT_GE(v, 0.99);
     // duplex factor 1.03 with rx weight: modest slowdown allowed
@@ -192,15 +222,23 @@ TEST(FluidSubstrate, IntraNodeUsesSharedMemory) {
   g.add("shm", 0, 0, 8e6);
   g.add("net", 0, 1, 8e6);
   const auto cal = gigabit_ethernet_calibration();
-  const auto times = measure_scheme_fluid(g, cal);
+  const auto times =
+      mpi::measure_times(g, topo::ClusterSpec::uniform("gige", 2, 1, cal),
+                         FluidRateProvider(cal));
   // Shared-memory copy is much faster than the network transfer.
   EXPECT_LT(times[0], times[1] / 5.0);
 }
 
 TEST(FluidSubstrate, TimesScaleLinearlyWithSize) {
   const auto cal = infiniband_calibration();
-  const auto t1 = measure_scheme_fluid(graph::schemes::outgoing_fan(3, 2e6), cal);
-  const auto t2 = measure_scheme_fluid(graph::schemes::outgoing_fan(3, 4e6), cal);
+  const auto cluster = topo::ClusterSpec::uniform("ib", 4, 1, cal);
+  const FluidRateProvider provider(cal);
+  const auto times = [&](double bytes) {
+    return mpi::measure_times(graph::schemes::outgoing_fan(3, bytes), cluster,
+                              provider);
+  };
+  const auto t1 = times(2e6);
+  const auto t2 = times(4e6);
   for (size_t i = 0; i < t1.size(); ++i)
     EXPECT_NEAR(t2[i] / t1[i], 2.0, 0.01);
 }
@@ -223,7 +261,8 @@ TEST(FluidSubstrate, BuildProblemShape) {
 
 TEST(FluidSubstrate, EmptyGraph) {
   const graph::CommGraph g;
-  EXPECT_TRUE(measure_scheme_fluid(g, gigabit_ethernet_calibration()).empty());
+  EXPECT_TRUE(
+      mpi::completion_penalties(g, gigabit_ethernet_calibration()).empty());
 }
 
 // --- the arena-backed rates_into hot path ----------------------------------

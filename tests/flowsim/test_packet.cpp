@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "flowsim/fluid_network.hpp"
 #include "graph/schemes.hpp"
+#include "mpi/measurement.hpp"
 #include "util/error.hpp"
 
 namespace bwshare::flowsim {
@@ -65,7 +65,7 @@ TEST(PacketSim, AgreesWithFluidOnIncomeConflict) {
         topo::infiniband_calibration()}) {
     const auto g = graph::schemes::incoming_fan(3, kBytes);
     const auto packet = measure_penalties_packet(g, config_for(cal));
-    const auto fluid = measure_penalties(g, cal);
+    const auto fluid = mpi::completion_penalties(g, cal);
     for (size_t i = 0; i < packet.size(); ++i)
       EXPECT_NEAR(packet[i] / fluid[i], 1.0, 0.15)
           << to_string(cal.tech) << " comm " << i;

@@ -11,6 +11,7 @@
 // target for the engine: any data race between concurrent provider solves
 // surfaces here.
 #include <cstdint>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "sim/schedule.hpp"
 #include "topo/cluster.hpp"
 #include "topo/fattree.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
@@ -191,23 +193,24 @@ TEST(ParallelSolvePool, SharedInjectedPoolServesConsecutiveReplays) {
   }
 }
 
-TEST(ParallelSolvePool, LazyPrivatePoolHonorsSolveThreads) {
-  // Without an injected pool the engine creates its own, sized by
-  // solve_threads — the standalone-replay convenience path.
+TEST(ParallelSolvePool, NullPoolIsANamedError) {
+  // The engine owns no pool of its own: a parallel replay without an
+  // injected one is rejected before anything runs.
   const auto trace = churn_trace(7, 6);
   const auto cluster = topo::ClusterSpec::uniform(
-      "parlazy", 3, 2, topo::gigabit_ethernet_calibration());
+      "parnull", 3, 2, topo::gigabit_ethernet_calibration());
   const auto placement =
       make_placement(SchedulingPolicy::kRoundRobinNode, cluster, 6);
   const flowsim::FluidRateProvider provider(cluster.network());
-  const auto serial = run_solve(trace, cluster, placement, provider,
-                                SolveMode::kSerial, nullptr);
   EngineConfig cfg;
   cfg.solve = SolveMode::kParallel;
-  cfg.solve_threads = 2;
-  const auto parallel =
-      run_simulation(trace, cluster, placement, provider, cfg);
-  expect_bit_identical(serial, parallel);
+  try {
+    (void)run_simulation(trace, cluster, placement, provider, cfg);
+    FAIL() << "kParallel with a null solve_pool must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("solve_pool"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "util/csv.hpp"
 #include "util/error.hpp"
 
 namespace bwshare {
@@ -66,6 +69,41 @@ TEST(TextTable, WriteCsvRoundTrip) {
 TEST(TextTable, WriteCsvBadPathThrows) {
   TextTable t({"x"});
   EXPECT_THROW(t.write_csv("/nonexistent-dir/nope.csv"), Error);
+}
+
+
+TEST(TextTable, EmptyHeaderIsRejected) {
+  EXPECT_THROW(TextTable({}), Error);
+}
+
+TEST(TextTable, ToCsvMatchesCsvWriter) {
+  // The table's CSV is util::CsvWriter's rendering of the same cells.
+  const std::vector<std::string> header = {"name", "note"};
+  const std::vector<std::vector<std::string>> rows = {
+      {"alpha", "plain"}, {"b,c", "say \"hi\""}, {"", "two\nlines"}};
+  TextTable t(header);
+  util::CsvWriter csv(header);
+  for (const auto& row : rows) {
+    t.add_row(row);
+    csv.add_row(row);
+  }
+  EXPECT_EQ(t.to_csv(), csv.render());
+  EXPECT_EQ(t.num_rows(), csv.num_rows());
+}
+
+TEST(TextTable, RenderIndentsEveryLine) {
+  TextTable t({"k", "v"});
+  t.add_row({"x", "1"});
+  t.add_row_numeric("y", {2.5}, 1);
+  std::istringstream is(t.render(4));
+  std::string line;
+  int lines = 0;
+  while (std::getline(is, line)) {
+    ++lines;
+    EXPECT_EQ(line.rfind("    ", 0), 0u) << line;
+    EXPECT_NE(line[4], ' ') << line;
+  }
+  EXPECT_EQ(lines, 4);  // header, underline, two rows
 }
 
 }  // namespace
