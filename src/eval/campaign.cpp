@@ -62,13 +62,8 @@ std::string CampaignArm::status() const {
 
 Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {
   spec_.validate(/*require_workloads=*/true);
-  for (const auto& entry : spec_.grid.schemes) {
-    workloads_.push_back(resolve_scheme_workload(entry));
-  }
-  for (const auto& entry : spec_.grid.traces) {
-    workloads_.push_back(resolve_trace_workload(entry));
-  }
-  expand_arms();
+  workloads_ = resolve_workloads(spec_.grid);
+  arms_ = expand_grid(spec_.grid, workloads_);
 }
 
 Campaign::Campaign(CampaignSpec spec, std::vector<ResolvedWorkload> workloads)
@@ -79,40 +74,8 @@ Campaign::Campaign(CampaignSpec spec, std::vector<ResolvedWorkload> workloads)
   BWS_CHECK(!workloads_.empty(),
             "campaign: at least one pre-resolved workload is required");
   spec_.validate(/*require_workloads=*/false);
-  expand_arms();
-}
-
-void Campaign::expand_arms() {
-  // Arm order mirrors Sweep's documented job order with the seed axis
-  // removed: workloads (schemes first, then traces) x networks x models x
-  // shapes [x policies x churn_rates x background_loads, trace arms only].
-  const auto expand = [this](bool traces) {
-    for (size_t w = 0; w < workloads_.size(); ++w) {
-      if (workloads_[w].is_trace() != traces) continue;
-      for (const auto tech : spec_.grid.networks) {
-        for (const auto& model : spec_.grid.models) {
-          for (const auto& shape : spec_.grid.shapes) {
-            if (!traces) {
-              arms_.push_back({w, tech, model, shape,
-                               sim::SchedulingPolicy::kRoundRobinNode, 0.0,
-                               0.0});
-              continue;
-            }
-            for (const auto policy : spec_.grid.policies) {
-              for (const double churn : spec_.grid.churn_rates) {
-                for (const double background : spec_.grid.background_loads) {
-                  arms_.push_back(
-                      {w, tech, model, shape, policy, churn, background});
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  };
-  expand(false);
-  expand(true);
+  // Arm order is Sweep's documented job order with the seed axis removed.
+  arms_ = expand_grid(spec_.grid, workloads_);
 }
 
 size_t Campaign::exhaustive_replicates() const {
@@ -172,16 +135,9 @@ CampaignResult Campaign::run(int threads) const {
       cells.assign(jobs.size(), SweepCell{});
       const auto run_job = [this, &jobs, &cells](int index) {
         const RoundJob& rj = jobs[static_cast<size_t>(index)];
-        const Arm& arm = arms_[rj.arm];
-        CellJob cj;
-        cj.workload = &workloads_[arm.workload];
-        cj.tech = arm.tech;
-        cj.model = arm.model;
-        cj.shape = arm.shape;
-        cj.policy = arm.policy;
-        cj.churn = arm.churn;
-        cj.background = arm.background;
-        cj.seed = campaign_replicate_seed(spec_.seed, rj.arm, rj.replicate);
+        const CellJob cj = arms_[rj.arm].job(
+            workloads_,
+            campaign_replicate_seed(spec_.seed, rj.arm, rj.replicate));
         cells[static_cast<size_t>(index)] = run_cell(cj);
       };
       util::parallel_for(pool, static_cast<int>(jobs.size()), run_job);

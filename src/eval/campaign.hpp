@@ -144,21 +144,9 @@ class Campaign {
   [[nodiscard]] CampaignResult run(int threads = 1) const;
 
  private:
-  struct Arm {  // one grid-cell identity (CellJob minus the seed)
-    size_t workload = 0;  // index into workloads_
-    topo::NetworkTech tech{};
-    std::string model;
-    SweepShape shape;
-    sim::SchedulingPolicy policy = sim::SchedulingPolicy::kRoundRobinNode;
-    double churn = 0.0;
-    double background = 0.0;
-  };
-
-  void expand_arms();
-
   CampaignSpec spec_;
   std::vector<ResolvedWorkload> workloads_;
-  std::vector<Arm> arms_;
+  std::vector<GridPoint> arms_;  // expand_grid(spec_.grid, workloads_)
 };
 
 }  // namespace bwshare::eval

@@ -141,24 +141,58 @@ ResolvedWorkload resolve_trace_workload(const std::string& entry) {
   return w;
 }
 
-Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
-  spec_.validate();
-  for (const auto& entry : spec_.schemes) {
-    scheme_workloads_.push_back(resolve_scheme_workload(entry));
+std::vector<ResolvedWorkload> resolve_workloads(const SweepSpec& spec) {
+  std::vector<ResolvedWorkload> workloads;
+  for (const auto& entry : spec.schemes) {
+    workloads.push_back(resolve_scheme_workload(entry));
   }
-  for (const auto& entry : spec_.traces) {
-    trace_workloads_.push_back(resolve_trace_workload(entry));
+  for (const auto& entry : spec.traces) {
+    workloads.push_back(resolve_trace_workload(entry));
   }
+  return workloads;
 }
 
-size_t Sweep::num_jobs() const {
-  const size_t base = spec_.networks.size() * spec_.models.size() *
-                      spec_.shapes.size() * spec_.seeds.size();
-  // churn_rates/background_loads cross trace cells only: a scheme cell is a
-  // static solve with no replay for a scenario to act on.
-  return scheme_workloads_.size() * base +
-         trace_workloads_.size() * base * spec_.policies.size() *
-             spec_.churn_rates.size() * spec_.background_loads.size();
+CellJob GridPoint::job(const std::vector<ResolvedWorkload>& workloads,
+                       uint64_t seed) const {
+  return {&workloads[workload], tech, model, shape, policy, churn,
+          background, seed};
+}
+
+std::vector<GridPoint> expand_grid(
+    const SweepSpec& spec, const std::vector<ResolvedWorkload>& workloads) {
+  std::vector<GridPoint> points;
+  for (const bool traces : {false, true}) {
+    for (size_t w = 0; w < workloads.size(); ++w) {
+      if (workloads[w].is_trace() != traces) continue;
+      for (const auto tech : spec.networks) {
+        for (const auto& model : spec.models) {
+          for (const auto& shape : spec.shapes) {
+            if (!traces) {
+              points.push_back({w, tech, model, shape,
+                                sim::SchedulingPolicy::kRoundRobinNode, 0.0,
+                                0.0});
+              continue;
+            }
+            for (const auto policy : spec.policies) {
+              for (const double churn : spec.churn_rates) {
+                for (const double background : spec.background_loads) {
+                  points.push_back(
+                      {w, tech, model, shape, policy, churn, background});
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return points;
+}
+
+Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
+  spec_.validate();
+  workloads_ = resolve_workloads(spec_);
+  points_ = expand_grid(spec_, workloads_);
 }
 
 namespace {
@@ -271,40 +305,12 @@ CellOutcome run_cell_detailed(const CellJob& job, const CellHooks& hooks) {
 }
 
 SweepResult Sweep::run(int threads) const {
-  // Expand the grid in its documented order: workloads (schemes first, then
-  // traces, each in listed order) x networks x models x shapes
-  // [x policies x churn_rates x background_loads, trace cells only] x seeds.
+  // The grid in its documented order: expand_grid's points x seeds.
   std::vector<CellJob> jobs;
   jobs.reserve(num_jobs());
-  for (const auto& w : scheme_workloads_) {
-    for (const auto tech : spec_.networks) {
-      for (const auto& model : spec_.models) {
-        for (const auto& shape : spec_.shapes) {
-          for (const auto seed : spec_.seeds) {
-            jobs.push_back({&w, tech, model, shape,
-                            sim::SchedulingPolicy::kRoundRobinNode, 0.0, 0.0,
-                            seed});
-          }
-        }
-      }
-    }
-  }
-  for (const auto& w : trace_workloads_) {
-    for (const auto tech : spec_.networks) {
-      for (const auto& model : spec_.models) {
-        for (const auto& shape : spec_.shapes) {
-          for (const auto policy : spec_.policies) {
-            for (const double churn : spec_.churn_rates) {
-              for (const double background : spec_.background_loads) {
-                for (const auto seed : spec_.seeds) {
-                  jobs.push_back({&w, tech, model, shape, policy, churn,
-                                  background, seed});
-                }
-              }
-            }
-          }
-        }
-      }
+  for (const auto& point : points_) {
+    for (const auto seed : spec_.seeds) {
+      jobs.push_back(point.job(workloads_, seed));
     }
   }
 
@@ -342,8 +348,7 @@ SweepResult Sweep::run(int threads) const {
     }
   };
   std::vector<std::string> workload_keys;
-  for (const auto& w : scheme_workloads_) workload_keys.push_back(w.key);
-  for (const auto& w : trace_workloads_) workload_keys.push_back(w.key);
+  for (const auto& w : workloads_) workload_keys.push_back(w.key);
   add_marginals("workload", workload_keys,
                 [](const SweepCell& c) { return c.workload; });
   std::vector<std::string> network_names;
@@ -385,7 +390,7 @@ SweepResult Sweep::run(int threads) const {
   add_marginals("shape", shape_names, [](const SweepCell& c) {
     return strformat("%dx%d", c.nodes, c.cores);
   });
-  if (!trace_workloads_.empty()) {
+  if (!spec_.traces.empty()) {
     std::vector<std::string> policy_names;
     for (const auto policy : spec_.policies) {
       policy_names.push_back(sim::to_string(policy));

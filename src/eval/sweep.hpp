@@ -110,6 +110,11 @@ struct ResolvedWorkload {
 [[nodiscard]] ResolvedWorkload resolve_trace_workload(
     const std::string& entry);
 
+/// Resolve every workload entry of `spec`: schemes first, then traces, each
+/// in listed order. Throws bwshare::Error on the first entry that fails.
+[[nodiscard]] std::vector<ResolvedWorkload> resolve_workloads(
+    const SweepSpec& spec);
+
 /// One fully specified grid cell: a workload at a point on every axis.
 /// `workload` must outlive the call; `seed` is the cell's only randomness.
 struct CellJob {
@@ -122,6 +127,34 @@ struct CellJob {
   double background = 0.0;
   uint64_t seed = 0;
 };
+
+/// A point on every grid axis except the seed. The workload is an index
+/// into the list the grid was expanded over, so a copy of the holder never
+/// points into another object's list.
+struct GridPoint {
+  size_t workload = 0;
+  topo::NetworkTech tech{};
+  std::string model;
+  SweepShape shape;
+  sim::SchedulingPolicy policy = sim::SchedulingPolicy::kRoundRobinNode;
+  double churn = 0.0;
+  double background = 0.0;
+
+  /// The executable cell at `seed`; `workloads` must be the list this point
+  /// was expanded over and must outlive the job.
+  [[nodiscard]] CellJob job(const std::vector<ResolvedWorkload>& workloads,
+                            uint64_t seed) const;
+};
+
+/// Expand the non-seed axes of `spec` over `workloads`, in the documented
+/// grid order: workloads (scheme workloads first, then trace workloads,
+/// each in list order) x networks x models x shapes [x policies x
+/// churn_rates x background_loads, trace workloads only]. Scheme points
+/// keep the default policy and zero churn/background: a scheme cell is a
+/// static solve with no placement or replay for them to act on. Sweep
+/// crosses each point with its seeds; Campaign runs each as one arm.
+[[nodiscard]] std::vector<GridPoint> expand_grid(
+    const SweepSpec& spec, const std::vector<ResolvedWorkload>& workloads);
 
 /// One executed grid cell.
 struct SweepCell {
@@ -205,7 +238,9 @@ class Sweep {
   explicit Sweep(SweepSpec spec);
 
   [[nodiscard]] const SweepSpec& spec() const { return spec_; }
-  [[nodiscard]] size_t num_jobs() const;
+  [[nodiscard]] size_t num_jobs() const {
+    return points_.size() * spec_.seeds.size();
+  }
 
   /// Execute the grid on `threads` workers (0 = hardware threads). Cell
   /// failures are recorded per cell (ok = false), never thrown.
@@ -213,8 +248,8 @@ class Sweep {
 
  private:
   SweepSpec spec_;
-  std::vector<ResolvedWorkload> scheme_workloads_;
-  std::vector<ResolvedWorkload> trace_workloads_;
+  std::vector<ResolvedWorkload> workloads_;
+  std::vector<GridPoint> points_;  // expand_grid(spec_, workloads_)
 };
 
 }  // namespace bwshare::eval

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <istream>
 #include <ostream>
 
@@ -182,6 +183,11 @@ double want_number(const JsonValue& v, const char* key) {
 
 int want_int(const JsonValue& v, const char* key) {
   const double d = want_number(v, key);
+  // Range first: casting a double outside int's range is undefined.
+  BWS_CHECK(d >= static_cast<double>(std::numeric_limits<int>::min()) &&
+                d <= static_cast<double>(std::numeric_limits<int>::max()),
+            strformat("serve request: \"%s\" is out of int range, got %s",
+                      key, v.str.c_str()));
   const int i = static_cast<int>(d);
   BWS_CHECK(static_cast<double>(i) == d,
             strformat("serve request: \"%s\" must be an integer", key));

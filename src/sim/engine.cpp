@@ -100,8 +100,8 @@ struct PendingRecv {
 /// transfer's component is next touched (docs/PERFORMANCE.md).
 ///
 /// Deliberately trivially copyable: slots are recycled with a plain
-/// assignment and completion snapshots the struct by value, so any owning
-/// member here would put an allocation on the per-event path. The provider
+/// assignment and release_transfer snapshots the struct by value, so any
+/// owning member here would put an allocation on the per-event path. The
 /// coupling keys (the one variable-length attribute) live in the engine's
 /// parallel `slot_keys_` side storage, whose vectors keep their capacity
 /// across slot reuse.
@@ -165,20 +165,6 @@ struct Component {
   bool shrunk = false;
 };
 
-/// One scripted scenario event, merged from Scenario::churn and
-/// Scenario::background in declaration order. Replayed off a dedicated
-/// core::EventQueue keyed by (time, script index) — the same sequence under
-/// every SolveMode, with or without cross_check.
-struct ScriptEvent {
-  enum class Kind { kJoin, kLeave, kFail, kFlow };
-  Kind kind = Kind::kFlow;
-  double time = 0.0;
-  int node = 0;        // membership events
-  int src = 0;         // kFlow
-  int dst = 0;         // kFlow
-  double bytes = 0.0;  // kFlow
-};
-
 class Engine {
  public:
   Engine(const AppTrace& trace, const topo::ClusterSpec& cluster,
@@ -188,6 +174,7 @@ class Engine {
         cluster_(cluster),
         placement_(placement),
         provider_(provider),
+        scenario_(scenario),
         cfg_(config) {
     BWS_CHECK(placement_.num_tasks() == trace_.num_tasks(),
               "placement task count must match the trace");
@@ -226,30 +213,15 @@ class Engine {
     for (const int j : job_of_) ++job_size_[static_cast<size_t>(j)];
     job_barrier_arrivals_.assign(static_cast<size_t>(num_jobs), 0);
 
-    // Merge the scenario scripts into one queue; churn events precede
-    // background flows at equal times (seq order below).
-    script_.reserve(scenario.churn.size() + scenario.background.size());
-    for (const auto& ev : scenario.churn) {
-      ScriptEvent se;
-      se.kind = ev.kind == graph::ChurnKind::kJoin ? ScriptEvent::Kind::kJoin
-                : ev.kind == graph::ChurnKind::kLeave
-                    ? ScriptEvent::Kind::kLeave
-                    : ScriptEvent::Kind::kFail;
-      se.time = ev.time;
-      se.node = ev.node;
-      script_.push_back(se);
-    }
-    for (const auto& f : scenario.background) {
-      ScriptEvent se;
-      se.kind = ScriptEvent::Kind::kFlow;
-      se.time = f.time;
-      se.src = f.src;
-      se.dst = f.dst;
-      se.bytes = f.bytes;
-      script_.push_back(se);
-    }
-    for (size_t i = 0; i < script_.size(); ++i)
-      script_q_.push(script_[i].time, static_cast<uint64_t>(i), i);
+    // One script queue keyed by (time, script index), the index running
+    // over scenario.churn and then scenario.background: churn events
+    // precede background flows at equal times, under every SolveMode.
+    const size_t num_churn = scenario.churn.size();
+    for (size_t i = 0; i < num_churn; ++i)
+      script_q_.push(scenario.churn[i].time, i, i);
+    for (size_t i = 0; i < scenario.background.size(); ++i)
+      script_q_.push(scenario.background[i].time, num_churn + i,
+                     num_churn + i);
   }
 
   SimResult run() {
@@ -294,7 +266,7 @@ class Engine {
       if (next_script <= next) {
         process_script_event();
       } else if (next_transfer <= next_compute) {
-        complete_one_transfer();
+        release_transfer(next_completion(), /*aborted=*/false);
       } else {
         wake_computers();
       }
@@ -491,7 +463,17 @@ class Engine {
     tr.advance_time = now();
   }
 
-  size_t alloc_slot() {
+  /// The one admission path, for job and background transfers alike: start
+  /// the transfer of comm record `record` now, between the record's nodes,
+  /// over max(bytes, 1) — a 0-length message still costs latency. Takes a
+  /// slot, fetches the provider's coupling keys into the slot's side storage
+  /// (providers without extra coupling return an empty vector, so no
+  /// allocation), opens the finish-time queue entry and attaches the
+  /// transfer to its component. The caller sets its own flags on the
+  /// returned transfer; attach_transfer reads none of them.
+  Transfer& admit_transfer(size_t record) {
+    CommRecord& rec = result_.comms[record];
+    rec.start = now();
     size_t slot;
     if (!free_slots_.empty()) {
       slot = free_slots_.back();
@@ -501,42 +483,31 @@ class Engine {
       slot_keys_.emplace_back();
       slot = transfers_.size() - 1;
     }
-    transfers_[slot] = Transfer{};
-    slot_keys_[slot].clear();  // keeps capacity for the next key set
-    return slot;
-  }
-
-  /// Fetch the provider's coupling keys for a fresh transfer into its slot's
-  /// side storage. Providers without extra coupling return an empty vector
-  /// (no allocation); with coupling the capacity retained in slot_keys_ is
-  /// replaced by the returned vector's.
-  void set_slot_keys(size_t slot) {
-    const Transfer& tr = transfers_[slot];
+    Transfer& tr = transfers_[slot];
+    tr = Transfer{};
+    tr.record = record;
+    tr.src_node = rec.src_node;
+    tr.dst_node = rec.dst_node;
+    tr.remaining = std::max(rec.bytes, 1.0);
+    tr.advance_time = now();
+    tr.alive = true;
     slot_keys_[slot] = provider_.coupling_keys(tr.src_node, tr.dst_node);
+    // The finish-time index entry lives as long as the transfer does; the
+    // next flush re-keys it to the first real prediction.
+    tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(record), slot);
+    ++num_active_;
+    attach_transfer(slot);
+    return tr;
   }
 
   void start_transfer(const PendingSend& ps, TaskId dst,
                       bool dst_nonblocking) {
-    const size_t slot = alloc_slot();
-    Transfer& tr = transfers_[slot];
-    tr.record = ps.record;
+    Transfer& tr = admit_transfer(ps.record);
     tr.src = ps.src;
     tr.dst = dst;
-    tr.src_node = placement_.node_of(ps.src);
-    tr.dst_node = placement_.node_of(dst);
-    tr.remaining = std::max(ps.bytes, 1.0);  // 0-length still costs latency
-    tr.advance_time = now();
     tr.rendezvous = ps.rendezvous;
     tr.src_tracked = ps.tracked;
     tr.dst_nonblocking = dst_nonblocking;
-    tr.alive = true;
-    set_slot_keys(slot);
-    // The finish-time index entry lives as long as the transfer does; the
-    // next flush re-keys it to the first real prediction.
-    tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(tr.record), slot);
-    result_.comms[ps.record].start = now();
-    ++num_active_;
-    attach_transfer(slot);
   }
 
   // --- scenario scripts ----------------------------------------------------
@@ -545,26 +516,16 @@ class Engine {
   /// a flush point separates every pair of same-time script events.
   void process_script_event() {
     BWS_ASSERT(!script_q_.empty(), "no script event pending");
-    const size_t idx = script_q_.top();
-    script_q_.pop();
-    const ScriptEvent& ev = script_[idx];
-    switch (ev.kind) {
-      case ScriptEvent::Kind::kJoin:
-        node_up_[static_cast<size_t>(ev.node)] = true;
-        break;
-      case ScriptEvent::Kind::kLeave:
-        // Graceful departure: stop admitting background flows, but let the
-        // node's in-flight transfers drain.
-        node_up_[static_cast<size_t>(ev.node)] = false;
-        break;
-      case ScriptEvent::Kind::kFail:
-        node_up_[static_cast<size_t>(ev.node)] = false;
-        fail_node(ev.node);
-        break;
-      case ScriptEvent::Kind::kFlow:
-        inject_background(ev);
-        break;
+    const size_t idx = script_q_.pop();
+    if (idx >= scenario_.churn.size()) {
+      inject_background(scenario_.background[idx - scenario_.churn.size()]);
+      return;
     }
+    // kLeave is a graceful departure: it stops admitting background flows
+    // but lets the node's in-flight transfers drain; kFail aborts them.
+    const graph::ChurnEvent& ev = scenario_.churn[idx];
+    node_up_[static_cast<size_t>(ev.node)] = ev.kind == graph::ChurnKind::kJoin;
+    if (ev.kind == graph::ChurnKind::kFail) fail_node(ev.node);
   }
 
   /// Crash semantics: every in-flight transfer with an endpoint on the
@@ -581,90 +542,33 @@ class Engine {
     std::sort(aborting_.begin(), aborting_.end(), [&](size_t a, size_t b) {
       return transfers_[a].record < transfers_[b].record;
     });
-    // abort_transfer can cascade into new transfers (an unblocked task may
-    // post its next send), but new slots are never aborted: the snapshot
-    // above fixes the victim set at the failure instant.
-    for (const size_t s : aborting_) abort_transfer(s);
-  }
-
-  /// Mirror of complete_one_transfer for a transfer cut short by a node
-  /// failure: keep the partial byte count in the record, unblock both
-  /// endpoints immediately (the failure is observed with no delivery
-  /// latency), and leave the dirtied components for the next flush.
-  void abort_transfer(size_t slot) {
-    advance(transfers_[slot]);
-    const Transfer tr = transfers_[slot];
-    detach_transfer(slot);
-
-    auto& rec = result_.comms[tr.record];
-    rec.aborted = true;
-    rec.finish = now();
-    const double ref = reference_duration(rec);
-    rec.penalty = ref > 0.0 ? (rec.finish - rec.start) / ref : 1.0;
-    ++result_.aborted_comms;
-
-    if (tr.background) return;
-    if (tr.rendezvous) {
-      auto& stats = result_.tasks[static_cast<size_t>(tr.src)];
-      rec.sender_time = now() - rec.send_post;
-      stats.send_blocked_seconds +=
-          now() - blocked_since_[static_cast<size_t>(tr.src)];
-      state_[static_cast<size_t>(tr.src)] = TaskState::kReady;
-    } else {
-      rec.sender_time = 0.0;
-    }
-    if (tr.src_tracked) retire_request(tr.src, /*latency=*/0.0);
-    if (tr.dst_nonblocking) {
-      retire_request(tr.dst, /*latency=*/0.0);
-    } else {
-      auto& stats = result_.tasks[static_cast<size_t>(tr.dst)];
-      stats.recv_blocked_seconds +=
-          now() - blocked_since_[static_cast<size_t>(tr.dst)];
-      state_[static_cast<size_t>(tr.dst)] = TaskState::kReady;
-    }
-
-    if (state_[static_cast<size_t>(tr.src)] == TaskState::kReady)
-      advance_task(tr.src);
-    if (state_[static_cast<size_t>(tr.dst)] == TaskState::kReady)
-      advance_task(tr.dst);
+    // An abort can cascade into new transfers (an unblocked task may post
+    // its next send), but new slots are never aborted: the snapshot above
+    // fixes the victim set at the failure instant.
+    for (const size_t s : aborting_) release_transfer(s, /*aborted=*/true);
   }
 
   /// Admit one background flow: a task-less transfer that contends for
   /// nodes/coupling keys like any other active-set member but blocks nobody.
   /// Flows touching a down node are dropped (counted, not queued).
-  void inject_background(const ScriptEvent& ev) {
-    if (!node_up_[static_cast<size_t>(ev.src)] ||
-        !node_up_[static_cast<size_t>(ev.dst)]) {
+  void inject_background(const graph::BackgroundFlow& flow) {
+    if (!node_up_[static_cast<size_t>(flow.src)] ||
+        !node_up_[static_cast<size_t>(flow.dst)]) {
       ++result_.background_skipped;
       return;
     }
     CommRecord rec;
     rec.src_task = kAnySource;  // -1: no task on either side
     rec.dst_task = kAnySource;
-    rec.src_node = static_cast<topo::NodeId>(ev.src);
-    rec.dst_node = static_cast<topo::NodeId>(ev.dst);
-    rec.bytes = ev.bytes;
+    rec.src_node = static_cast<topo::NodeId>(flow.src);
+    rec.dst_node = static_cast<topo::NodeId>(flow.dst);
+    rec.bytes = flow.bytes;
     rec.send_post = now();
     rec.recv_post = now();
-    rec.start = now();
     rec.background = true;
     result_.comms.push_back(rec);
-    const size_t record = result_.comms.size() - 1;
     ++result_.background_comms;
-
-    const size_t slot = alloc_slot();
-    Transfer& tr = transfers_[slot];
-    tr.record = record;
-    tr.background = true;
-    tr.src_node = rec.src_node;
-    tr.dst_node = rec.dst_node;
-    tr.remaining = std::max(ev.bytes, 1.0);
-    tr.advance_time = now();
-    tr.alive = true;
-    set_slot_keys(slot);
-    tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(tr.record), slot);
-    ++num_active_;
-    attach_transfer(slot);
+    admit_transfer(result_.comms.size() - 1).background = true;
   }
 
   // --- component tracking --------------------------------------------------
@@ -678,14 +582,22 @@ class Engine {
       components_.emplace_back();
       c = static_cast<int>(components_.size()) - 1;
     }
+    // recycle_component() emptied a pooled id; only revive it.
+    components_[static_cast<size_t>(c)].alive = true;
+    return c;
+  }
+
+  /// Empty component `c` and return its id to the pool, its vectors keeping
+  /// their capacity.
+  void recycle_component(int c) {
     auto& comp = components_[static_cast<size_t>(c)];
-    comp.alive = true;
+    comp.alive = false;
     comp.dirty = false;
     comp.shrunk = false;
     comp.members.clear();
     comp.nodes.clear();
     comp.keys.clear();
-    return c;
+    free_components_.push_back(c);
   }
 
   void mark_dirty(int c) {
@@ -708,13 +620,7 @@ class Engine {
       auto& owner = key_owner_[static_cast<size_t>(k)];
       if (owner == c) owner = -1;
     }
-    comp.alive = false;
-    comp.dirty = false;
-    comp.shrunk = false;
-    comp.members.clear();
-    comp.nodes.clear();
-    comp.keys.clear();
-    free_components_.push_back(c);
+    recycle_component(c);
   }
 
   void merge_into(int target, int victim) {
@@ -732,13 +638,7 @@ class Engine {
       key_owner_[static_cast<size_t>(k)] = target;
       t.keys.push_back(k);
     }
-    v.alive = false;
-    v.dirty = false;
-    v.shrunk = false;
-    v.members.clear();
-    v.nodes.clear();
-    v.keys.clear();
-    free_components_.push_back(victim);
+    recycle_component(victim);
   }
 
   /// Place `slot` into the component owning any of its endpoint nodes or
@@ -1137,10 +1037,9 @@ class Engine {
     return done;
   }
 
-  void complete_one_transfer() {
-    // Finish the transfer with the earliest predicted completion; ties go to
-    // the one posted first (lowest record, the finish-time heap's tie key).
-    // Only its own component needs its bytes advanced.
+  /// The transfer with the earliest predicted completion; ties go to the
+  /// one posted first (lowest record, the finish-time heap's tie key).
+  [[nodiscard]] size_t next_completion() const {
     BWS_ASSERT(!transfer_q_.empty(), "no transfer completed");
     const size_t done = transfer_q_.top();
     if (cfg_.cross_check) {
@@ -1152,51 +1051,52 @@ class Engine {
                           done, transfers_[done].record, scan,
                           transfers_[scan].record, now()));
     }
-    advance(transfers_[done]);
-    BWS_ASSERT(
-        transfers_[done].remaining <=
-            1e-6 + 1e-9 * result_.comms[transfers_[done].record].bytes,
-        "completing a transfer with significant bytes left");
+    return done;
+  }
 
-    const Transfer tr = transfers_[done];
-    detach_transfer(done);
+  /// The one release path: remove the transfer in `slot` from the active
+  /// set, finish its record and unblock its endpoints. A drained transfer
+  /// reaches the receiver one latency later. An `aborted` one (kFail) keeps
+  /// its partial byte count and is observed at once, with no latency. Only
+  /// the transfer's own component needs its bytes advanced; the dirtied
+  /// remnant re-solves at the next flush.
+  void release_transfer(size_t slot, bool aborted) {
+    advance(transfers_[slot]);
+    const Transfer tr = transfers_[slot];
+    BWS_ASSERT(aborted || tr.remaining <=
+                              1e-6 + 1e-9 * result_.comms[tr.record].bytes,
+               "completing a transfer with significant bytes left");
+    detach_transfer(slot);
 
     auto& rec = result_.comms[tr.record];
-    const double latency = latency_for(rec);
+    const double latency = aborted ? 0.0 : latency_for(rec);
     rec.finish = now() + latency;
     const double ref = reference_duration(rec);
     rec.penalty = ref > 0.0 ? (rec.finish - rec.start) / ref : 1.0;
-
-    // A background flow blocks nobody: record it; the remnant re-solves at
-    // the next flush.
-    if (tr.background) return;
+    if (aborted) {
+      rec.aborted = true;
+      ++result_.aborted_comms;
+    }
+    if (tr.background) return;  // blocks nobody
 
     // Unblock the sender (rendezvous) at drain time.
     if (tr.rendezvous) {
       auto& stats = result_.tasks[static_cast<size_t>(tr.src)];
       rec.sender_time = now() - rec.send_post;
-      stats.send_blocked_seconds += now() - blocked_since_[static_cast<size_t>(tr.src)];
+      stats.send_blocked_seconds +=
+          now() - blocked_since_[static_cast<size_t>(tr.src)];
       state_[static_cast<size_t>(tr.src)] = TaskState::kReady;
     } else {
       rec.sender_time = 0.0;
     }
     // Retire a tracked Isend; may release the sender's WaitAll.
     if (tr.src_tracked) retire_request(tr.src, /*latency=*/0.0);
-    // Unblock the receiver one latency later; the delay is modelled as a
-    // tiny compute burst so event ordering stays exact.
+    // A non-blocking receive retires its request, releasing a pending
+    // WaitAll when it was the last one.
     if (tr.dst_nonblocking) {
-      // Non-blocking receive: retire the request; release a pending WaitAll
-      // when it was the last one.
       retire_request(tr.dst, latency);
     } else {
-      auto& stats = result_.tasks[static_cast<size_t>(tr.dst)];
-      stats.recv_blocked_seconds +=
-          (now() + latency) - blocked_since_[static_cast<size_t>(tr.dst)];
-      if (latency > 0.0) {
-        begin_compute(tr.dst, now() + latency);
-      } else {
-        state_[static_cast<size_t>(tr.dst)] = TaskState::kReady;
-      }
+      unblock_receiver(tr.dst, latency);
     }
 
     if (state_[static_cast<size_t>(tr.src)] == TaskState::kReady)
@@ -1211,11 +1111,16 @@ class Engine {
     auto& outstanding = outstanding_requests_[static_cast<size_t>(task)];
     BWS_ASSERT(outstanding > 0, "request completion without a request");
     --outstanding;
-    if (outstanding != 0 ||
-        state_[static_cast<size_t>(task)] != TaskState::kWaitAll)
-      return;
-    auto& stats = result_.tasks[static_cast<size_t>(task)];
-    stats.recv_blocked_seconds +=
+    if (outstanding == 0 &&
+        state_[static_cast<size_t>(task)] == TaskState::kWaitAll)
+      unblock_receiver(task, latency);
+  }
+
+  /// Charge `task` its receive wait and wake it `latency` from now. The
+  /// delay is modelled as a tiny compute burst so event ordering stays
+  /// exact; with no latency the task is ready at once.
+  void unblock_receiver(TaskId task, double latency) {
+    result_.tasks[static_cast<size_t>(task)].recv_blocked_seconds +=
         (now() + latency) - blocked_since_[static_cast<size_t>(task)];
     if (latency > 0.0) {
       begin_compute(task, now() + latency);
@@ -1336,6 +1241,7 @@ class Engine {
   const topo::ClusterSpec& cluster_;
   const Placement& placement_;
   const flowsim::RateProvider& provider_;
+  const Scenario& scenario_;  // outlives the engine (run_simulation's)
   EngineConfig cfg_;
 
   core::Clock clock_;  // the shared event-core time source
@@ -1356,12 +1262,11 @@ class Engine {
 
   // Dynamic-cluster state (sim/scenario.hpp). node_up_ gates background-flow
   // admission; job_of_/job_size_/job_barrier_arrivals_ scope barriers to
-  // their job; script_ replays off its own (time, script index) queue.
+  // their job; script_q_ replays scenario_'s scripts by (time, index).
   std::vector<bool> node_up_;
   std::vector<int> job_of_;
   std::vector<int> job_size_;
   std::vector<int> job_barrier_arrivals_;
-  std::vector<ScriptEvent> script_;
   core::EventQueue<size_t> script_q_;
   std::vector<size_t> aborting_;  // fail_node victim snapshot
 

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -375,7 +376,7 @@ TEST(QueryService, ConcurrentHammerServesOnlyConformantAnswers) {
 TEST(QueryService, CacheCapacityZeroServesThrough) {
   ServiceConfig config;
   config.cache_capacity = 0;
-  config.warm_start = false;
+  config.memo_capacity = 0;
   QueryService service(config);
   const Query q = disjoint_query(kDisjointScheme);
   const Response first = service.query(q);
@@ -391,7 +392,7 @@ TEST(QueryService, CacheCapacityZeroServesThrough) {
 
 TEST(QueryService, WarmStartOffNeverReusesSolves) {
   ServiceConfig config;
-  config.warm_start = false;
+  config.memo_capacity = 0;  // an empty WarmStore: every lookup misses
   QueryService service(config);
   ASSERT_TRUE(service.query(disjoint_query(kDisjointScheme)).ok);
   const Response r = service.query(disjoint_query(kDisjointSchemeEdited));
@@ -471,6 +472,20 @@ TEST(Protocol, QueryFromJsonIsStrictAboutKeysAndTypes) {
   EXPECT_THROW(static_cast<void>(query_from_json(parse_flat_json_object(
                    "{\"seed\":-1}"))),
                Error);
+  // Integers outside int range are rejected, by key, before the cast (a
+  // double -> int conversion out of range is undefined behaviour).
+  const std::pair<const char*, const char*> out_of_range[] = {
+      {"{\"scheme\":\"mk1\",\"nodes\":1e10}", "\"nodes\""},
+      {"{\"scheme\":\"mk1\",\"cores\":-3e9}", "\"cores\""}};
+  for (const auto& [line, key] : out_of_range) {
+    try {
+      static_cast<void>(query_from_json(parse_flat_json_object(line)));
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 std::string serve_stream(const std::string& input, int threads) {

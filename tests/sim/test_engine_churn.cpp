@@ -341,6 +341,233 @@ TEST(EngineChurn, BarrierCostFlushesTheReleasingCompletionsComponent) {
                    release + (kBackground - kJob) / cal.reference_bandwidth());
 }
 
+// --- release-path goldens --------------------------------------------------
+//
+// One replay per way a transfer leaves the active set — a kFail abort of a
+// rendezvous send into a blocking recv, a kFail abort of an isend/irecv pair
+// released through WaitAll, a background flow that completes next to one a
+// kFail aborts, and a kLeave at the same instant as background injections.
+// Every CommRecord and TaskStats field is pinned exactly (values printed
+// %.17g). The determinism suites above compare modes against each other and
+// cannot see a change that moves every mode the same way; these can.
+
+struct CommGolden {
+  TaskId src_task;
+  TaskId dst_task;
+  topo::NodeId src_node;
+  topo::NodeId dst_node;
+  double bytes;
+  double send_post;
+  double recv_post;
+  double start;
+  double finish;
+  double penalty;
+  double sender_time;
+  bool background;
+  bool aborted;
+};
+
+struct TaskGolden {
+  double finish_time;
+  double compute_seconds;
+  double send_blocked_seconds;
+  double recv_blocked_seconds;
+  double barrier_wait_seconds;
+  int sends;
+  int recvs;
+};
+
+struct ReplayGolden {
+  double makespan;
+  size_t aborted_comms;
+  size_t background_comms;
+  size_t background_skipped;
+  std::vector<CommGolden> comms;
+  std::vector<TaskGolden> tasks;
+};
+
+/// Replay `trace` on a `nodes`-node GigE cluster (one task per node, task i
+/// on node i) under `scenario`, with the cross_check oracle armed on a
+/// second run, and compare every output field against `golden` exactly.
+void expect_golden(const AppTrace& trace, int nodes, const Scenario& scenario,
+                   const ReplayGolden& golden) {
+  const auto cluster = topo::ClusterSpec::uniform(
+      "golden", nodes, 1, topo::gigabit_ethernet_calibration());
+  const flowsim::FluidRateProvider provider(cluster.network());
+  const auto r =
+      expect_cross_check_clean(trace, cluster,
+                               identity_placement(trace.num_tasks()),
+                               provider, scenario);
+  EXPECT_EQ(r.makespan, golden.makespan);
+  EXPECT_EQ(r.aborted_comms, golden.aborted_comms);
+  EXPECT_EQ(r.background_comms, golden.background_comms);
+  EXPECT_EQ(r.background_skipped, golden.background_skipped);
+  ASSERT_EQ(r.comms.size(), golden.comms.size());
+  for (size_t i = 0; i < r.comms.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "comm record " << i);
+    const CommRecord& c = r.comms[i];
+    const CommGolden& g = golden.comms[i];
+    EXPECT_EQ(c.src_task, g.src_task);
+    EXPECT_EQ(c.dst_task, g.dst_task);
+    EXPECT_EQ(c.src_node, g.src_node);
+    EXPECT_EQ(c.dst_node, g.dst_node);
+    EXPECT_EQ(c.bytes, g.bytes);
+    EXPECT_EQ(c.send_post, g.send_post);
+    EXPECT_EQ(c.recv_post, g.recv_post);
+    EXPECT_EQ(c.start, g.start);
+    EXPECT_EQ(c.finish, g.finish);
+    EXPECT_EQ(c.penalty, g.penalty);
+    EXPECT_EQ(c.sender_time, g.sender_time);
+    EXPECT_EQ(c.background, g.background);
+    EXPECT_EQ(c.aborted, g.aborted);
+  }
+  ASSERT_EQ(r.tasks.size(), golden.tasks.size());
+  for (size_t t = 0; t < r.tasks.size(); ++t) {
+    SCOPED_TRACE(testing::Message() << "task " << t);
+    const TaskStats& s = r.tasks[t];
+    const TaskGolden& g = golden.tasks[t];
+    EXPECT_EQ(s.finish_time, g.finish_time);
+    EXPECT_EQ(s.compute_seconds, g.compute_seconds);
+    EXPECT_EQ(s.send_blocked_seconds, g.send_blocked_seconds);
+    EXPECT_EQ(s.recv_blocked_seconds, g.recv_blocked_seconds);
+    EXPECT_EQ(s.barrier_wait_seconds, g.barrier_wait_seconds);
+    EXPECT_EQ(s.sends, g.sends);
+    EXPECT_EQ(s.recvs, g.recvs);
+  }
+}
+
+TEST(EngineChurnGolden, FailDuringRendezvousSendIntoBlockingRecv) {
+  // The abort unblocks the sender (rendezvous) and the receiver (blocking
+  // recv) with no latency; both go on to a second, undisturbed transfer.
+  AppTrace trace(2);
+  trace.push(0, Event::send(1, 4e7));
+  trace.push(0, Event::compute(0.002));
+  trace.push(0, Event::send(1, 1e6));
+  trace.push(1, Event::recv(0, 4e7));
+  trace.push(1, Event::recv(0, 1e6));
+  Scenario scenario;
+  scenario.churn.push_back({0.01, graph::ChurnKind::kFail, 1});
+  const ReplayGolden golden{
+      0.022711666666666668, 1, 0, 0,
+      // src/dst task, src/dst node, bytes; send_post, recv_post, start,
+      // finish; penalty, sender_time, background, aborted
+      {{0, 1, 0, 1, 40000000,
+        0, 0, 0, 0.01,
+        0.023435028336855096, 0.01, false, true},
+       {0, 1, 0, 1, 1000000,
+        0.012, 0.01, 0.012, 0.022711666666666668,
+        1.0000000000000002, 0.010666666666666668, false, false}},
+      // finish, compute, send_blocked; recv_blocked, barrier_wait, sends,
+      // recvs
+      {{0.022666666666666668, 0.002, 0.020666666666666667,
+        0, 0, 2, 0},
+       {0.022711666666666668, 0, 0,
+        0.022711666666666668, 0, 0, 2}}};
+  expect_golden(trace, 2, scenario, golden);
+}
+
+TEST(EngineChurnGolden, FailOnIsendIrecvPairReleasedThroughWaitAll) {
+  // Task 0 isends to tasks 1 and 2; the failure of node 2 aborts only the
+  // second pair. Task 2 leaves WaitAll at the failure instant, task 0 stays
+  // in it until the surviving transfer drains.
+  AppTrace trace(3);
+  trace.push(0, Event::isend(1, 4e7));
+  trace.push(0, Event::isend(2, 4e7));
+  trace.push(0, Event::wait_all());
+  trace.push(1, Event::irecv(0, 4e7));
+  trace.push(1, Event::wait_all());
+  trace.push(2, Event::irecv(0, 4e7));
+  trace.push(2, Event::wait_all());
+  Scenario scenario;
+  scenario.churn.push_back({0.01, graph::ChurnKind::kFail, 2});
+  const ReplayGolden golden{
+      0.43004500000000001, 1, 0, 0,
+      // src/dst task, src/dst node, bytes; send_post, recv_post, start,
+      // finish; penalty, sender_time, background, aborted
+      {{0, 1, 0, 1, 40000000,
+        0, 0, 0, 0.43004500000000001,
+        1.0078116761122851, 0, false, false},
+       {0, 2, 0, 2, 40000000,
+        0, 0, 0, 0.01,
+        0.023435028336855096, 0, false, true}},
+      // finish, compute, send_blocked; recv_blocked, barrier_wait, sends,
+      // recvs
+      {{0.42999999999999999, 0, 0,
+        0.42999999999999999, 0, 2, 0},
+       {0.43004500000000001, 0, 0,
+        0.43004500000000001, 0, 0, 1},
+       {0.01, 0, 0,
+        0.01, 0, 0, 1}}};
+  expect_golden(trace, 3, scenario, golden);
+}
+
+TEST(EngineChurnGolden, BackgroundFlowsCompleteAndAbort) {
+  // Flow 0->2 drains while sharing node 0 with the job; flow 3->1 shares
+  // node 1 with the job until the failure of node 3 aborts it.
+  AppTrace trace(2);
+  trace.push(0, Event::send(1, 2e7));
+  trace.push(1, Event::recv(0, 2e7));
+  Scenario scenario;
+  scenario.background.push_back({0.0, 0, 2, 1e6});
+  scenario.background.push_back({0.001, 3, 1, 4e7});
+  scenario.churn.push_back({0.05, graph::ChurnKind::kFail, 3});
+  const ReplayGolden golden{
+      0.23004499999999997, 1, 2, 0,
+      // src/dst task, src/dst node, bytes; send_post, recv_post, start,
+      // finish; penalty, sender_time, background, aborted
+      {{0, 1, 0, 1, 20000000,
+        0, 0, 0, 0.23004499999999997,
+        1.0781085239832222, 0.22999999999999998, false, false},
+       {-1, -1, 0, 2, 1000000,
+        0, 0, 0, 0.016045,
+        1.4978994865411546, 0, true, false},
+       {-1, -1, 3, 1, 40000000,
+        0.001, 0.001, 0.001, 0.050000000000000003,
+        0.11483163885058997, 0, true, true}},
+      // finish, compute, send_blocked; recv_blocked, barrier_wait, sends,
+      // recvs
+      {{0.22999999999999998, 0, 0.22999999999999998,
+        0, 0, 1, 0},
+       {0.23004499999999997, 0, 0,
+        0.23004499999999997, 0, 0, 1}}};
+  expect_golden(trace, 4, scenario, golden);
+}
+
+TEST(EngineChurnGolden, LeaveAndBackgroundFlowAtTheSameInstant) {
+  // At t=0.005 node 2 leaves, then (churn precedes background at equal
+  // times) a flow to node 2 is skipped and one between up nodes admitted.
+  // The flow already in flight to node 2 drains: kLeave aborts nothing.
+  AppTrace trace(2);
+  trace.push(0, Event::send(1, 2e7));
+  trace.push(1, Event::recv(0, 2e7));
+  Scenario scenario;
+  scenario.churn.push_back({0.005, graph::ChurnKind::kLeave, 2});
+  scenario.background.push_back({0.0, 1, 2, 1e6});
+  scenario.background.push_back({0.005, 0, 2, 1e6});
+  scenario.background.push_back({0.005, 0, 1, 1e6});
+  const ReplayGolden golden{
+      0.21871166666666664, 0, 2, 1,
+      // src/dst task, src/dst node, bytes; send_post, recv_post, start,
+      // finish; penalty, sender_time, background, aborted
+      {{0, 1, 0, 1, 20000000,
+        0, 0, 0, 0.21871166666666664,
+        1.024994727674631, 0.21866666666666665, false, false},
+       {-1, -1, 1, 2, 1000000,
+        0, 0, 0, 0.010711666666666668,
+        1.0000000000000002, 0, true, false},
+       {-1, -1, 0, 1, 1000000,
+        0.0050000000000000001, 0.0050000000000000001, 0.0050000000000000001,
+        0.021044999999999998,
+        1.4978994865411543, 0, true, false}},
+      // finish, compute, send_blocked; recv_blocked, barrier_wait, sends,
+      // recvs
+      {{0.21866666666666665, 0, 0.21866666666666665,
+        0, 0, 1, 0},
+       {0.21871166666666664, 0, 0,
+        0.21871166666666664, 0, 0, 1}}};
+  expect_golden(trace, 3, scenario, golden);
+}
+
 // --- validation ------------------------------------------------------------
 
 TEST(EngineChurn, ScenarioValidationRejectsBadScripts) {
