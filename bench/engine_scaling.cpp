@@ -183,21 +183,17 @@ int main(int argc, char** argv) try {
 
   const std::string nodes_list = args.get(
       "nodes", "64,128,256,512,1024,2048,4096,8192,16384,32768,65536");
-  const long rounds_flag = args.get_int("rounds", 3);
-  BWS_CHECK(rounds_flag >= 1 && rounds_flag <= 1000000,
-            "--rounds must be between 1 and 1000000");
-  const int rounds = static_cast<int>(rounds_flag);
+  const int rounds = static_cast<int>(args.get_int("rounds", 3, 1, 1000000));
   const double bytes = args.get_double("bytes", 4e6);
   BWS_CHECK(std::isfinite(bytes) && bytes >= 0.0,
             "--bytes must be a finite non-negative message size");
-  const uint64_t seed = static_cast<uint64_t>(args.get_int("seed", 1));
+  const uint64_t seed = args.get_u64("seed", 1);
   const long max_crosscheck = args.get_int("max-crosscheck-nodes", 1024);
   const std::string out_path = args.get("out", "BENCH_engine.json");
   const std::string providers = args.get("providers", "fluid");
   const std::string solves = args.get("solve", "serial,parallel");
-  const long threads_flag = args.get_int("threads", 0);
-  BWS_CHECK(threads_flag >= 0 && threads_flag <= 4096,
-            "--threads must be between 0 (hardware threads) and 4096");
+  const int threads = static_cast<int>(
+      args.get_int("threads", 0, 0, util::ThreadPool::kMaxThreads));
 
   std::vector<int> sizes;
   for (const auto& tok : split(nodes_list, ',')) {
@@ -234,9 +230,8 @@ int main(int argc, char** argv) try {
 
   // One shared pool for every parallel row — the injection pattern the
   // engine documents for concurrent replays (sweep cells).
-  const int pool_threads = threads_flag > 0
-                               ? static_cast<int>(threads_flag)
-                               : util::ThreadPool::hardware_threads();
+  const int pool_threads =
+      threads > 0 ? threads : util::ThreadPool::hardware_threads();
   std::unique_ptr<util::ThreadPool> pool;
   if (with_parallel) pool = std::make_unique<util::ThreadPool>(pool_threads);
 

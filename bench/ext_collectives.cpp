@@ -33,7 +33,7 @@ double simulate(const sim::AppTrace& trace, const topo::ClusterSpec& cluster,
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const int p = static_cast<int>(args.get_int("tasks", 16));
+  const int p = static_cast<int>(args.get_int("tasks", 16, 2, kCliIntMax));
   const double bytes = parse_size(args.get("size", "4M"));
 
   print_banner(std::cout, "Extension - collectives under sharing models");

@@ -65,7 +65,8 @@ int main(int argc, char** argv) try {
   spec.seeds = {42};          // static schemes; seed only labels the cells
 
   const eval::Sweep sweep(std::move(spec));
-  const int threads = static_cast<int>(args.get_int("threads", 0));
+  const int threads = static_cast<int>(
+      args.get_int("threads", 0, 0, util::ThreadPool::kMaxThreads));
   const auto result = sweep.run(threads);
 
   TextTable table({"graph", "network", "model", "comms", "T_m sum [s]",

@@ -21,14 +21,15 @@ inline int run_hpl_bench(int argc, char** argv, const std::string& title,
   const CliArgs args(argc, argv);
 
   hpl::HplParams params;
-  params.n = static_cast<int>(args.get_int("n", 20500));
-  params.nb = static_cast<int>(args.get_int("nb", 120));
+  params.n = static_cast<int>(args.get_int("n", 20500, 1, kCliIntMax));
+  params.nb = static_cast<int>(args.get_int("nb", 120, 1, kCliIntMax));
   // One MPI task per core, as HPL is normally run (the paper's nodes are
   // dual-CPU, so 16 nodes carry 32 tasks).
-  params.tasks = static_cast<int>(args.get_int("tasks", 32));
+  params.tasks = static_cast<int>(args.get_int("tasks", 32, 2, kCliIntMax));
   // 0 = the full factorization (~171 panels). The late panels are where the
   // lookahead broadcasts overlap and conflicts appear.
-  params.max_panels = static_cast<int>(args.get_int("panels", 0));
+  params.max_panels =
+      static_cast<int>(args.get_int("panels", 0, 0, kCliIntMax));
 
   print_banner(std::cout, title);
   std::cout << strformat(

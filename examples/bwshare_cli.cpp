@@ -173,6 +173,21 @@ int usage(const std::string& prog) {
   return 2;
 }
 
+/// The shared --nodes / --cores / --threads flags, range-checked before
+/// they narrow to int.
+int nodes_flag(const CliArgs& args) {
+  return static_cast<int>(args.get_int("nodes", 16, 1, eval::kMaxShapeDim));
+}
+
+int cores_flag(const CliArgs& args) {
+  return static_cast<int>(args.get_int("cores", 2, 1, eval::kMaxShapeDim));
+}
+
+int threads_flag(const CliArgs& args) {
+  return static_cast<int>(
+      args.get_int("threads", 0, 0, util::ThreadPool::kMaxThreads));
+}
+
 /// Reject flags the subcommand does not understand; exit code 2.
 bool check_flags(const CliArgs& args, const std::string& subcommand,
                  std::initializer_list<std::string_view> allowed) {
@@ -188,10 +203,10 @@ int run_scheme(const CliArgs& args, const std::string& path) {
   const auto parsed = graph::parse_scheme_file(path);
   const auto tech = topo::network_tech_from_string(args.get("network", "gige"));
   const int nodes = static_cast<int>(
-      args.get_int("nodes", std::max(16, parsed.declared_nodes)));
+      args.get_int("nodes", std::max(16, parsed.declared_nodes), 1,
+                   eval::kMaxShapeDim));
   const auto cluster = topo::ClusterSpec::uniform(
-      "cli", nodes, static_cast<int>(args.get_int("cores", 2)),
-      topo::calibration_for(tech));
+      "cli", nodes, cores_flag(args), topo::calibration_for(tech));
 
   const std::string model_name = args.get("model", "");
   const auto model = model_name.empty() ? models::model_for(tech)
@@ -221,8 +236,7 @@ sim::Scenario scenario_from_flags(const CliArgs& args, int nodes) {
   sim::Scenario scenario;
   const double churn = args.get_double("churn", 0.0);
   const double background = args.get_double("background", 0.0);
-  const auto seed =
-      static_cast<uint64_t>(args.get_int("scenario-seed", 42));
+  const uint64_t seed = args.get_u64("scenario-seed", 42);
   if (churn > 0.0) {
     graph::ChurnSpec spec;
     spec.rate = churn;
@@ -250,8 +264,7 @@ int run_trace(const CliArgs& args, const std::string& path) {
   trace.validate();
   const auto tech = topo::network_tech_from_string(args.get("network", "gige"));
   const auto cluster = topo::ClusterSpec::uniform(
-      "cli", static_cast<int>(args.get_int("nodes", 16)),
-      static_cast<int>(args.get_int("cores", 2)), topo::calibration_for(tech));
+      "cli", nodes_flag(args), cores_flag(args), topo::calibration_for(tech));
   const auto policy =
       sim::scheduling_policy_from_string(args.get("schedule", "RRN"));
   const auto placement =
@@ -283,8 +296,7 @@ int run_trace(const CliArgs& args, const std::string& path) {
 int run_multijob(const CliArgs& args, const std::vector<std::string>& paths) {
   const auto tech = topo::network_tech_from_string(args.get("network", "gige"));
   const auto cluster = topo::ClusterSpec::uniform(
-      "cli", static_cast<int>(args.get_int("nodes", 16)),
-      static_cast<int>(args.get_int("cores", 2)), topo::calibration_for(tech));
+      "cli", nodes_flag(args), cores_flag(args), topo::calibration_for(tech));
   const auto policy =
       sim::scheduling_policy_from_string(args.get("schedule", "RRN"));
   std::vector<sim::JobSpec> jobs;
@@ -405,7 +417,7 @@ int run_sweep(const CliArgs& args) {
   }
 
   const eval::Sweep sweep(std::move(spec));
-  const int threads = static_cast<int>(args.get_int("threads", 0));
+  const int threads = threads_flag(args);
   const int effective_threads =
       threads > 0 ? threads : util::ThreadPool::hardware_threads();
   std::cout << "sweep: " << sweep.num_jobs() << " cells on "
@@ -471,17 +483,17 @@ int run_campaign(const CliArgs& args) {
   spec.stop.tolerance = args.get_double("tolerance", 0.05);
   spec.stop.confidence = args.get_double("confidence", 0.95);
   spec.stop.min_replicates =
-      static_cast<int>(args.get_int("min-replicates", 8));
+      static_cast<int>(args.get_int("min-replicates", 8, 1, kCliIntMax));
   spec.stop.max_replicates =
-      static_cast<int>(args.get_int("max-replicates", 256));
-  spec.stop.resamples =
-      static_cast<size_t>(args.get_int("resamples", 400));
-  spec.batch = static_cast<int>(args.get_int("batch", 8));
-  spec.seed = static_cast<uint64_t>(args.get_int("seed", 42));
+      static_cast<int>(args.get_int("max-replicates", 256, 1, kCliIntMax));
+  spec.stop.resamples = static_cast<size_t>(args.get_int(
+      "resamples", 400, 1, stats::SequentialConfig::kMaxResamples));
+  spec.batch = static_cast<int>(args.get_int("batch", 8, 1, kCliIntMax));
+  spec.seed = args.get_u64("seed", 42);
   spec.stop.ci_seed = spec.seed;
 
   const eval::Campaign campaign(std::move(spec));
-  const int threads = static_cast<int>(args.get_int("threads", 0));
+  const int threads = threads_flag(args);
   const int effective_threads =
       threads > 0 ? threads : util::ThreadPool::hardware_threads();
   std::cout << "campaign: " << campaign.num_arms() << " arm(s), rule "
@@ -542,13 +554,9 @@ int run_campaign(const CliArgs& args) {
 
 int run_serve(const CliArgs& args) {
   serve::ServiceConfig config;
-  config.threads = static_cast<int>(args.get_int("threads", 0));
-  const long cache = args.get_int("cache", 64);
-  const long memo = args.get_int("memo", 65536);
-  BWS_CHECK(cache >= 0, "--cache must be >= 0");
-  BWS_CHECK(memo >= 0, "--memo must be >= 0");
-  config.cache_capacity = static_cast<size_t>(cache);
-  config.memo_capacity = static_cast<size_t>(memo);
+  config.threads = threads_flag(args);
+  config.cache_capacity = static_cast<size_t>(args.get_int("cache", 64, 0));
+  config.memo_capacity = static_cast<size_t>(args.get_int("memo", 65536, 0));
   config.verify = args.get_bool("verify", false);
   const size_t failures =
       serve::run_serve_loop(std::cin, std::cout, config);

@@ -19,13 +19,14 @@ int main(int argc, char** argv) {
 
   const auto tech =
       topo::network_tech_from_string(args.get("network", "myrinet"));
-  const int tasks = static_cast<int>(args.get_int("tasks", 16));
+  const int tasks = static_cast<int>(args.get_int("tasks", 16, 2, kCliIntMax));
 
   hpl::HplParams params;
-  params.n = static_cast<int>(args.get_int("n", 20500));
-  params.nb = static_cast<int>(args.get_int("nb", 120));
+  params.n = static_cast<int>(args.get_int("n", 20500, 1, kCliIntMax));
+  params.nb = static_cast<int>(args.get_int("nb", 120, 1, kCliIntMax));
   params.tasks = tasks;
-  params.max_panels = static_cast<int>(args.get_int("panels", 32));
+  params.max_panels =
+      static_cast<int>(args.get_int("panels", 32, 0, kCliIntMax));
 
   const auto cluster = topo::ClusterSpec::uniform(
       "advisor", tasks, 2, topo::calibration_for(tech));

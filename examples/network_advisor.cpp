@@ -19,6 +19,7 @@
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
+#include "util/threadpool.hpp"
 
 namespace {
 
@@ -56,13 +57,15 @@ sim::AppTrace halo_app(int ranks) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const int tasks = static_cast<int>(args.get_int("tasks", 16));
+  const int tasks =
+      static_cast<int>(args.get_int("tasks", 16, 2, eval::kMaxShapeDim));
 
   hpl::HplParams hpl_params;
   hpl_params.n = 20500;
   hpl_params.nb = 120;
   hpl_params.tasks = tasks;
-  hpl_params.max_panels = static_cast<int>(args.get_int("panels", 24));
+  hpl_params.max_panels =
+      static_cast<int>(args.get_int("panels", 24, 0, kCliIntMax));
 
   struct App {
     std::string name;
@@ -88,11 +91,12 @@ int main(int argc, char** argv) {
   spec.stop.confidence = args.get_double("confidence", 0.95);
   spec.stop.min_replicates = 4;
   spec.stop.max_replicates =
-      static_cast<int>(args.get_int("max-replicates", 40));
-  spec.batch = static_cast<int>(args.get_int("batch", 4));
-  spec.seed = static_cast<uint64_t>(args.get_int("seed", 42));
+      static_cast<int>(args.get_int("max-replicates", 40, 1, kCliIntMax));
+  spec.batch = static_cast<int>(args.get_int("batch", 4, 1, kCliIntMax));
+  spec.seed = args.get_u64("seed", 42);
   spec.stop.ci_seed = spec.seed;
-  const int threads = static_cast<int>(args.get_int("threads", 0));
+  const int threads = static_cast<int>(
+      args.get_int("threads", 0, 0, util::ThreadPool::kMaxThreads));
 
   std::cout << "Interconnect advisor (adaptive campaign, best-arm rule at "
             << strformat("%.0f%%", spec.stop.confidence * 100.0)

@@ -26,12 +26,6 @@ class Clock {
     now_ = t;
   }
 
-  /// Advance by a non-negative duration.
-  void advance_by(double dt) {
-    BWS_CHECK(dt >= 0.0, "clock duration must be non-negative");
-    now_ += dt;
-  }
-
  private:
   double now_ = 0.0;
 };

@@ -70,11 +70,11 @@ SweepShape parse_sweep_shape(const std::string& text) {
   // Range-checked on the long before the int cast, so 2^32+1 is rejected
   // instead of silently wrapping into a tiny cluster.
   long n = 0;
-  BWS_CHECK(try_parse_long(nodes, n, 1, 1000000) == ParseIntStatus::kOk,
+  BWS_CHECK(try_parse_long(nodes, n, 1, kMaxShapeDim) == ParseIntStatus::kOk,
             "shape '" + text + "': bad node count '" + nodes + "'");
   shape.nodes = static_cast<int>(n);
   long c = 0;
-  BWS_CHECK(try_parse_long(cores, c, 1, 1000000) == ParseIntStatus::kOk,
+  BWS_CHECK(try_parse_long(cores, c, 1, kMaxShapeDim) == ParseIntStatus::kOk,
             "shape '" + text + "': bad core count '" + cores + "'");
   shape.cores = static_cast<int>(c);
   return shape;

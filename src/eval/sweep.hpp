@@ -32,6 +32,10 @@ struct SimResult;
 
 namespace bwshare::eval {
 
+/// Largest node or core count a shape may name (sweep/campaign shapes,
+/// serve queries, CLI flags).
+inline constexpr int kMaxShapeDim = 1000000;
+
 /// One cluster shape cell: `nodes` SMP nodes with `cores` cores each.
 struct SweepShape {
   int nodes = 16;

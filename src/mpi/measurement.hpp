@@ -7,8 +7,15 @@
 //
 // A communication scheme (graph::CommGraph over cluster nodes) is turned
 // into an MPI job: one sender and one receiver task per communication,
-// pinned to the scheme's nodes; warm-up rounds precede measured rounds, and
-// a barrier separates iterations so every round starts simultaneously.
+// pinned to the scheme's nodes; kWarmupRounds unmeasured rounds precede
+// kMeasuredRounds measured ones, and a barrier separates rounds so every
+// round starts simultaneously. measure_times returns the per-communication
+// time T_i only. The paper's penalty P_i = T_i / T_ref comes from elsewhere:
+// models::measure_reference_time (models/estimation.hpp) times the
+// referential send through any MeasureFn, flowsim::saturated_penalties
+// (flowsim/fluid_network.hpp) gives the substrate's steady-state penalties,
+// and sim::CommRecord::penalty carries the observed penalty of every
+// replayed communication.
 #pragma once
 
 #include <vector>
@@ -19,36 +26,21 @@
 
 namespace bwshare::mpi {
 
-struct MeasurementConfig {
-  /// Measured iterations of each MPI_Send.
-  int iterations = 3;
-  /// Unmeasured warm-up iterations (the paper uses them to defeat cache
-  /// effects).
-  int warmup = 1;
-  /// Message size for the referential time probe.
-  double reference_bytes = 20e6;
-};
-
-struct PenaltyMeasurement {
-  /// Referential time T_ref at reference_bytes.
-  double t_ref = 0.0;
-  /// Per-communication mean sender time T_i (graph order).
-  std::vector<double> times;
-  /// Per-communication penalty P_i = T_i / t_ref_i, where t_ref_i is the
-  /// referential time scaled to comm i's size.
-  std::vector<double> penalties;
-};
+/// Unmeasured rounds before the measured ones (the paper uses them to
+/// defeat cache effects).
+inline constexpr int kWarmupRounds = 1;
+/// Measured rounds; T_i is the mean sender time over them.
+inline constexpr int kMeasuredRounds = 3;
 
 /// Run the measurement software for `scheme` on `cluster`, with transfer
-/// rates supplied by `provider` (fluid substrate or a model).
-[[nodiscard]] PenaltyMeasurement measure_scheme_penalties(
-    const graph::CommGraph& scheme, const topo::ClusterSpec& cluster,
-    const flowsim::RateProvider& provider, const MeasurementConfig& config = {});
-
-/// A MeasureFn (models/estimation.hpp signature) backed by this software.
+/// rates supplied by `provider` (fluid substrate or a model): the mean
+/// sender-side time T_i of each communication over the measured rounds, in
+/// graph order. A MeasureFn (models/estimation.hpp signature). Throws
+/// bwshare::Error on an empty scheme or one that references more nodes than
+/// the cluster has.
 [[nodiscard]] std::vector<double> measure_times(
     const graph::CommGraph& scheme, const topo::ClusterSpec& cluster,
-    const flowsim::RateProvider& provider, const MeasurementConfig& config = {});
+    const flowsim::RateProvider& provider);
 
 /// Per-communication completion penalties of one simultaneous start of
 /// `scheme` on the fluid substrate under `cal`: a single round of the

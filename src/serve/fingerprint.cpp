@@ -57,12 +57,12 @@ CanonicalQuery canonicalize(const Query& q) {
                   : models::make_model(q.model))
                  ->name();
 
-  BWS_CHECK(q.nodes >= 1 && q.nodes <= 1000000,
-            strformat("query: nodes must be in [1, 1000000], got %d",
-                      q.nodes));
-  BWS_CHECK(q.cores >= 1 && q.cores <= 1000000,
-            strformat("query: cores must be in [1, 1000000], got %d",
-                      q.cores));
+  BWS_CHECK(q.nodes >= 1 && q.nodes <= eval::kMaxShapeDim,
+            strformat("query: nodes must be in [1, %d], got %d",
+                      eval::kMaxShapeDim, q.nodes));
+  BWS_CHECK(q.cores >= 1 && q.cores <= eval::kMaxShapeDim,
+            strformat("query: cores must be in [1, %d], got %d",
+                      eval::kMaxShapeDim, q.cores));
   cq.cores = q.cores;
   cq.policy = sim::scheduling_policy_from_string(q.schedule);
   BWS_CHECK(q.churn >= 0.0 && std::isfinite(q.churn),
@@ -126,17 +126,22 @@ CanonicalQuery canonicalize(const Query& q) {
   h.mix_f64(cq.churn);
   h.mix_f64(cq.background);
   h.mix_u64(cq.seed_live ? cq.seed : 0);
-  // The engine semantics every served replay runs under (the defaults — no
-  // knob exposes them yet). Hashed so exposing one later cannot alias onto
-  // fingerprints minted before. Execution strategy (solve mode, pool,
-  // cross_check, solve memo) is excluded on purpose: bit-identical by the
-  // engine contract.
-  const sim::EngineConfig engine;
-  h.mix_f64(engine.eager_threshold);
-  h.mix_f64(engine.barrier_cost);
-  h.mix_f64(engine.max_time);
+  // No engine setting is hashed (fingerprint.hpp lists the exclusions).
   cq.fingerprint = h.digest();
   return cq;
+}
+
+eval::CellJob CanonicalQuery::job() const {
+  eval::CellJob out;
+  out.workload = &workload;
+  out.tech = tech;
+  out.model = model;
+  out.shape = {nodes, cores};
+  out.policy = policy;
+  out.churn = churn;
+  out.background = background;
+  out.seed = seed;
+  return out;
 }
 
 uint64_t hash_sim_result(const sim::SimResult& r) {

@@ -19,9 +19,13 @@
 //   * the seed, when it cannot affect the replay (placement policy is
 //     deterministic and no churn/background script is drawn) — it is
 //     canonicalized to 0 so "seed":7 and "seed":9 share a cache line;
-//   * execution strategy (solve mode, thread counts, cross_check): the
-//     engine contract makes those bit-identical, so caching across them is
-//     exactly as safe as caching across repeats.
+//   * execution strategy (every sim::EngineConfig field: solve mode, pool,
+//     cross_check, solve memo): the engine contract makes those
+//     bit-identical, so caching across them is exactly as safe as caching
+//     across repeats;
+//   * the engine's semantic constants (sim::kEagerThreshold,
+//     sim::kMaxTime): fixed at compile time, so constant within the one
+//     build a fingerprint is valid for.
 //
 // Stability: fingerprints inherit the util::StructuralHash contract — stable
 // within one build, NOT across releases. Never persist them.
@@ -87,6 +91,10 @@ struct CanonicalQuery {
   /// in the fingerprint.
   bool seed_live = false;
   uint64_t fingerprint = 0;
+
+  /// The executable cell this query replays; points into `workload`, so
+  /// this CanonicalQuery must outlive the job.
+  [[nodiscard]] eval::CellJob job() const;
 };
 
 /// Resolve and fingerprint one query. Throws bwshare::Error on malformed

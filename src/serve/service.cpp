@@ -165,16 +165,7 @@ std::vector<Response> QueryService::query_batch(
   // stage their own solutions privately in their memos.
   util::parallel_for(*pool_, static_cast<int>(jobs.size()), [&](int j) {
     Job& job = *jobs[static_cast<size_t>(j)];
-    const CanonicalQuery& cq = job.cq;
-    eval::CellJob cell_job;
-    cell_job.workload = &cq.workload;
-    cell_job.tech = cq.tech;
-    cell_job.model = cq.model;
-    cell_job.shape = {cq.nodes, cq.cores};
-    cell_job.policy = cq.policy;
-    cell_job.churn = cq.churn;
-    cell_job.background = cq.background;
-    cell_job.seed = cq.seed;
+    const eval::CellJob cell_job = job.cq.job();
     eval::CellHooks hooks;
     hooks.measured_memo = job.measured_memo.get();
     hooks.predicted_memo = job.predicted_memo.get();
@@ -202,7 +193,7 @@ std::vector<Response> QueryService::query_batch(
     result->placement = std::move(out.placement);
     result->measured = std::move(out.measured);
     result->predicted = std::move(out.predicted);
-    result->fingerprint = cq.fingerprint;
+    result->fingerprint = job.cq.fingerprint;
     if (result->cell.ok && !has_task_level_signal(*result->measured)) {
       result->cell.eabs_pct =
           comm_level_eabs(*result->measured, *result->predicted);

@@ -228,21 +228,17 @@ class Engine {
     // Drive every task as far as it can go, then hop to the next event.
     for (TaskId t = 0; t < trace_.num_tasks(); ++t) advance_task(t);
     while (num_done_ < trace_.num_tasks()) {
-      // Flush point: solve every component the last event cascade dirtied,
-      // before any prediction below is read. The clock has not moved since
-      // they turned dirty, so deferring the solves to here is unobservable.
+      // The flush point: solve every component the last event cascade
+      // dirtied, before any prediction below is read. The clock only moves
+      // below, so deferring the solves to here is unobservable.
       flush_refresh();
-      // A predicted finish can sit in the past (a barrier cost overshot
-      // it); the transfer then completes, late, at the current time.
       const double next_compute =
-          compute_q_.empty() ? kInf : std::max(compute_q_.top_time(), now());
+          compute_q_.empty() ? kInf : compute_q_.top_time();
       const double next_transfer =
-          transfer_q_.empty() ? kInf
-                              : std::max(transfer_q_.top_time(), now());
-      // Scenario scripts ride their own queue; like a predicted finish, a
-      // scripted time can sit in the past after a barrier cost overshot it.
+          transfer_q_.empty() ? kInf : transfer_q_.top_time();
+      // Scenario scripts ride their own queue.
       const double next_script =
-          script_q_.empty() ? kInf : std::max(script_q_.top_time(), now());
+          script_q_.empty() ? kInf : script_q_.top_time();
       if (cfg_.cross_check) {
         // cross_check (c): the heap's next-event times must match the
         // reference scans exactly, at every event.
@@ -258,7 +254,7 @@ class Engine {
       }
       const double next = std::min({next_compute, next_transfer, next_script});
       BWS_CHECK(next < kInf, deadlock_message());
-      BWS_CHECK(next <= cfg_.max_time, "simulation exceeded max_time");
+      BWS_CHECK(next <= kMaxTime, "simulation exceeded kMaxTime");
       BWS_ASSERT(dirty_.empty(), "clock advanced past an unflushed component");
       clock_.advance_to(next);
       // Script events fire first at equal times: a failure at t aborts
@@ -341,7 +337,7 @@ class Engine {
   void post_send(TaskId t, const Event& e, bool nonblocking) {
     auto& stats = result_.tasks[static_cast<size_t>(t)];
     ++stats.sends;
-    const bool rendezvous = !nonblocking && e.bytes >= cfg_.eager_threshold;
+    const bool rendezvous = !nonblocking && e.bytes >= kEagerThreshold;
 
     CommRecord rec;
     rec.src_task = t;
@@ -440,22 +436,15 @@ class Engine {
           now() - blocked_since_[static_cast<size_t>(u)];
       state_[static_cast<size_t>(u)] = TaskState::kReady;
     }
-    // Flush point: the barrier cost is about to advance the clock, so any
-    // component a completion dirtied earlier in this event must re-solve
-    // now — its members would otherwise integrate bytes across the cost
-    // interval at stale rates.
-    flush_refresh();
-    BWS_ASSERT(dirty_.empty(), "clock advanced past an unflushed component");
-    clock_.advance_by(cfg_.barrier_cost);
     for (TaskId u = 0; u < trace_.num_tasks(); ++u)
       if (state_[static_cast<size_t>(u)] == TaskState::kReady) advance_task(u);
   }
 
   // --- transfers -----------------------------------------------------------
 
-  /// Integrate the bytes `tr` moved since its last advance. Clamped at zero:
-  /// a transfer can overshoot its end when a barrier cost pushes `now()` past
-  /// its predicted finish; it then completes (late) at the current time.
+  /// Integrate the bytes `tr` moved since its last advance. Clamped at zero
+  /// against rounding: at its predicted finish, rate * elapsed can exceed
+  /// `remaining` by an ulp.
   void advance(Transfer& tr) {
     if (now() > tr.advance_time && tr.rate > 0.0)
       tr.remaining =
@@ -748,10 +737,9 @@ class Engine {
   }
 
   /// Solve everything dirtied since the last flush. Event handlers only
-  /// mark components dirty; the solves wait for the next flush point — the
-  /// top of the event loop, or just before a barrier cost advances the
-  /// clock. The clock cannot move in between (both clock advances assert
-  /// `dirty_` is empty), so deferral is unobservable; what it buys is
+  /// mark components dirty; the solves wait for the flush point at the top
+  /// of the event loop. The clock cannot move in between (its one advance
+  /// asserts `dirty_` is empty), so deferral is unobservable; what it buys is
   /// batching, e.g. a barrier release posting N transfers yields ONE flush
   /// with N disjoint dirty components, which is the fan-out
   /// SolveMode::kParallel feeds to the pool.
@@ -1006,7 +994,7 @@ class Engine {
     double best = kInf;
     for (const auto& tr : transfers_)
       if (tr.alive) best = std::min(best, tr.finish_pred);
-    return std::max(best, now());
+    return best;
   }
 
   [[nodiscard]] double earliest_compute_end() const {
@@ -1014,10 +1002,7 @@ class Engine {
     for (TaskId t = 0; t < trace_.num_tasks(); ++t)
       if (state_[static_cast<size_t>(t)] == TaskState::kComputing)
         best = std::min(best, ready_at_[static_cast<size_t>(t)]);
-    // A wake-up can sit in the past when another job's barrier cost overshot
-    // it (barriers are per-job but the cost advances the shared clock); the
-    // task then wakes, late, at the current time.
-    return std::max(best, now());
+    return best;
   }
 
   /// Reference selection for cross_check: linear argmin over every transfer
@@ -1130,11 +1115,11 @@ class Engine {
   }
 
   /// Wake every computing task whose wake-up is due, in increasing task
-  /// id, re-checking eligibility after every wake — a wake can cascade into
-  /// a barrier release that advances the clock past more deadlines, or start
-  /// zero-length computes. Tasks that become eligible *behind* the sweep
-  /// position are re-queued for the next main-loop turn: the sweep never
-  /// revisits lower ids. Under cross_check every choice, and the decision to
+  /// id, re-checking eligibility after every wake — a wake can start a
+  /// zero-length compute, directly or through the barrier release it
+  /// completes. Tasks that become eligible *behind* the sweep position are
+  /// re-queued for the next main-loop turn: the sweep never revisits lower
+  /// ids. Under cross_check every choice, and the decision to
   /// stop, is re-derived by scan_next_wake().
   void wake_computers() {
     // `eligible_` is a reused vector kept sorted by task id — it replaces a

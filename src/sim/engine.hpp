@@ -8,33 +8,33 @@
 //     stands in for the physical clusters).
 //
 // Semantics:
-//   * Blocking MPI_Send with rendezvous for messages >= eager_threshold:
+//   * Blocking MPI_Send with rendezvous for messages >= kEagerThreshold:
 //     the sender blocks until the transfer drains (plus it unblocks at drain
 //     time; the receiver additionally pays the one-way latency).
-//   * Messages below eager_threshold are buffered: the sender continues
+//   * Messages below kEagerThreshold are buffered: the sender continues
 //     immediately; the transfer starts once the receive is posted.
 //   * Receives match by source, in posting order; kAnySource matches the
 //     earliest posted pending send (the paper's MPI_ANY_SOURCE method).
-//   * Barriers release when every task has arrived.
+//   * Barriers release when every task has arrived, at no extra cost.
 //
 // Rate refresh is incremental and component-scoped: when a transfer starts
 // or finishes, only the connected component(s) of the conflict structure it
 // touches are re-solved, and untouched components keep their cached rates
 // with lazily advanced byte counts. Dirty components are not solved
-// mid-event but at the next *flush point* (the top of the event loop, or
-// just before a barrier cost advances the clock) — the clock cannot move in
-// between, so deferral is unobservable, and it batches all the components a
-// same-time event cascade touched into one multi-component solve. That batch
-// is what EngineConfig::solve fans out: SolveMode::kParallel computes each
-// component's rates on a shared util::ThreadPool (components are disjoint by
-// construction, and providers are const-safe), then commits them
-// sequentially in component-id order, so completion times are bit-identical
-// to kSerial at any thread count. The event loop itself runs on the shared
-// event-core (core::EventQueue): predicted finish times and compute wake-ups
-// are indexed heap entries, re-keyed in O(log n) when a component re-solve
-// changes a prediction, so finding the next event never scans the active
-// set. EngineConfig::cross_check arms the oracle that re-derives all of this
-// the slow way at every flush and event (docs/PERFORMANCE.md, "Invariants");
+// mid-event but at the one *flush point*, the top of the event loop, which
+// is also the only place the clock moves — so deferral is unobservable, and
+// it batches all the components a same-time event cascade touched into one
+// multi-component solve. That batch is what EngineConfig::solve fans out:
+// SolveMode::kParallel computes each component's rates on a shared
+// util::ThreadPool (components are disjoint by construction, and providers
+// are const-safe), then commits them sequentially in component-id order, so
+// completion times are bit-identical to kSerial at any thread count. The
+// event loop itself runs on the shared event-core (core::EventQueue):
+// predicted finish times and compute wake-ups are indexed heap entries,
+// re-keyed in O(log n) when a component re-solve changes a prediction, so
+// finding the next event never scans the active set.
+// EngineConfig::cross_check arms the oracle that re-derives all of this the
+// slow way at every flush and event (docs/PERFORMANCE.md, "Invariants");
 // bench/engine_scaling.cpp measures the speedups.
 #pragma once
 
@@ -68,13 +68,14 @@ enum class SolveMode {
   kParallel,
 };
 
+/// Messages at least this many bytes use rendezvous (a blocking send waits
+/// for the transfer to drain); shorter ones are buffered (eager).
+inline constexpr double kEagerThreshold = 64.0 * 1024.0;
+/// Simulated seconds after which a replay aborts with a named error (a
+/// safety net against a trace that computes or waits forever).
+inline constexpr double kMaxTime = 1e9;
+
 struct EngineConfig {
-  /// Messages at least this long use rendezvous (sender blocks).
-  double eager_threshold = 64.0 * 1024.0;
-  /// Extra cost charged to every barrier release.
-  double barrier_cost = 0.0;
-  /// Abort if simulated time exceeds this (deadlock safety net).
-  double max_time = 1e9;
   /// Equivalence oracle for tests and benchmarks: at every flush, re-solve
   /// each alive component fresh on the calling thread (bypassing the pool
   /// and the solve memo) and require its committed rates bitwise; re-solve

@@ -65,7 +65,9 @@ void SequentialConfig::validate() const {
             strformat("sequential: max_replicates (%d) must be >= "
                       "min_replicates (%d)",
                       max_replicates, min_replicates));
-  BWS_CHECK(resamples >= 1, "sequential: resamples must be >= 1");
+  BWS_CHECK(resamples >= 1 && resamples <= kMaxResamples,
+            strformat("sequential: resamples must be in [1, %zu], got %zu",
+                      kMaxResamples, resamples));
 }
 
 SequentialTest::SequentialTest(SequentialConfig config, size_t num_arms)

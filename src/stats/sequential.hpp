@@ -59,8 +59,9 @@ struct SequentialConfig {
   int min_replicates = 8;
   /// Hard per-arm budget; reaching it on all survivors stops the campaign.
   int max_replicates = 256;
-  /// Bootstrap resamples per interval.
+  /// Bootstrap resamples per interval, in [1, kMaxResamples].
   size_t resamples = 400;
+  static constexpr size_t kMaxResamples = 1000000;
   /// Base seed for the bootstrap resampling streams (salted per arm).
   uint64_t ci_seed = 42;
 

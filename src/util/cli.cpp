@@ -57,21 +57,37 @@ std::string CliArgs::get(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
-long CliArgs::get_int(const std::string& name, long fallback) const {
+long CliArgs::get_int(const std::string& name, long fallback, long lo,
+                      long hi) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   long v = 0;
-  switch (try_parse_long(it->second, v)) {
+  switch (try_parse_long(it->second, v, lo, hi)) {
     case ParseIntStatus::kOk:
       return v;
     case ParseIntStatus::kOutOfRange:
-      BWS_THROW("flag --" + name + " integer out of range: '" + it->second +
-                "'");
+      BWS_THROW(strformat("flag --%s integer out of range: '%s' (must be in "
+                          "[%ld, %ld])",
+                          name.c_str(), it->second.c_str(), lo, hi));
     case ParseIntStatus::kMalformed:
       break;
   }
   BWS_THROW("flag --" + name + " expects an integer, got '" + it->second +
             "'");
+}
+
+std::uint64_t CliArgs::get_u64(const std::string& name,
+                               std::uint64_t fallback) const {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  std::uint64_t v = 0;
+  const ParseIntStatus st = try_parse_u64(it->second, v);
+  BWS_CHECK(st != ParseIntStatus::kMalformed,
+            "flag --" + name + " expects a non-negative integer, got '" +
+                it->second + "'");
+  BWS_CHECK(st == ParseIntStatus::kOk,
+            "flag --" + name + " integer out of range: '" + it->second + "'");
+  return v;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace bwshare::util {
 
@@ -19,8 +20,8 @@ int ThreadPool::hardware_threads() {
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) num_threads = hardware_threads();
-  BWS_CHECK(num_threads <= 4096,
-            "ThreadPool: num_threads must be <= 4096");
+  BWS_CHECK(num_threads <= kMaxThreads,
+            strformat("ThreadPool: num_threads must be <= %d", kMaxThreads));
   workers_.reserve(static_cast<size_t>(num_threads));
   try {
     for (int i = 0; i < num_threads; ++i) {

@@ -21,7 +21,11 @@ namespace bwshare::util {
 
 class ThreadPool {
  public:
-  /// Spawn `num_threads` workers; 0 means hardware_threads().
+  /// The most workers one pool may spawn.
+  static constexpr int kMaxThreads = 4096;
+
+  /// Spawn `num_threads` workers (at most kMaxThreads); 0 means
+  /// hardware_threads().
   explicit ThreadPool(int num_threads = 0);
   /// Joins all workers; pending jobs still in the queue are discarded.
   ~ThreadPool();

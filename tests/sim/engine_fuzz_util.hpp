@@ -78,7 +78,8 @@ inline AppTrace churn_trace(uint64_t seed, int tasks) {
 /// reuse across rounds; the pairs are disjoint and equal-sized, so each
 /// round's receivers wake at one instant (the widest wake batch).
 inline AppTrace matching_trace(int nodes, int rounds, uint64_t seed,
-                               double bytes = 4e6) {
+                               double bytes = 4e6,
+                               bool settle_after_barrier = false) {
   AppTrace trace(nodes);
   Rng rng(seed);
   std::vector<int> order(static_cast<size_t>(nodes));
@@ -95,6 +96,8 @@ inline AppTrace matching_trace(int nodes, int rounds, uint64_t seed,
       trace.push(dst, Event::recv(src, bytes));
     }
     trace.push_barrier_all();
+    if (settle_after_barrier)
+      for (TaskId t = 0; t < nodes; ++t) trace.push(t, Event::compute(0.0));
   }
   return trace;
 }

@@ -1,6 +1,9 @@
-// Engine semantics: rendezvous blocking, eager sends, any-source matching,
-// barriers, conflict-driven slowdown, deadlock detection.
+// Engine semantics: rendezvous blocking, eager sends and the kEagerThreshold
+// boundary, any-source matching, barriers, conflict-driven slowdown,
+// deadlock detection and the kMaxTime safety net.
 #include "sim/engine.hpp"
+
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -177,6 +180,50 @@ TEST(Engine, DeadlockIsDetected) {
   EXPECT_THROW(
       run_simulation(trace, cluster(), identity_placement(2), provider),
       Error);
+}
+
+TEST(Engine, EagerThresholdIsTheRendezvousBoundary) {
+  // The receiver posts at t=0.2. One byte below kEagerThreshold the send
+  // is buffered and the sender finishes at once; at the threshold it is a
+  // rendezvous and the sender waits for the receive and the drain.
+  const auto replay = [](double bytes) {
+    AppTrace trace(2);
+    trace.push(0, Event::send(1, bytes));
+    trace.push(1, Event::compute(0.2));
+    trace.push(1, Event::recv(0, bytes));
+    const auto provider = fluid();
+    return run_simulation(trace, cluster(), identity_placement(2), provider);
+  };
+  const auto eager = replay(kEagerThreshold - 1.0);
+  EXPECT_EQ(eager.tasks[0].finish_time, 0.0);
+  EXPECT_EQ(eager.tasks[0].send_blocked_seconds, 0.0);
+  EXPECT_EQ(eager.comms[0].sender_time, 0.0);
+  const auto rendezvous = replay(kEagerThreshold);
+  EXPECT_GT(rendezvous.tasks[0].finish_time, 0.2);
+  EXPECT_GT(rendezvous.tasks[0].send_blocked_seconds, 0.2);
+  EXPECT_EQ(rendezvous.comms[0].sender_time,
+            rendezvous.tasks[0].send_blocked_seconds);
+}
+
+TEST(Engine, ExceedingMaxTimeIsANamedError) {
+  AppTrace trace(1);
+  trace.push(0, Event::compute(2.0 * kMaxTime));
+  const auto provider = fluid();
+  try {
+    (void)run_simulation(trace, cluster(1), identity_placement(1), provider);
+    FAIL() << "a replay past kMaxTime must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("simulation exceeded kMaxTime"),
+              std::string::npos)
+        << e.what();
+  }
+  // Exactly at the limit is still allowed.
+  AppTrace at_limit(1);
+  at_limit.push(0, Event::compute(kMaxTime));
+  EXPECT_EQ(run_simulation(at_limit, cluster(1), identity_placement(1),
+                           provider)
+                .makespan,
+            kMaxTime);
 }
 
 TEST(Engine, MismatchedPlacementRejected) {

@@ -9,9 +9,10 @@
 // both run after a warm-up replay so thread-local scratch is built. Setup
 // costs (engine state, reserves) are identical for both and cancel; any
 // remaining delta is a per-event allocation on the steady path, and the
-// assertion is exact: zero. Run with and without a barrier cost, so the
-// barrier-cost path (arrive_barrier -> flush -> clock advance) is held to
-// the same standard.
+// assertion is exact: zero. Run with and without a zero-length compute after
+// every barrier, so the release path that grows the wake sweep's drain
+// (arrive_barrier -> same-instant wake-ups re-queued by the sweep) is held
+// to the same standard.
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -26,7 +27,7 @@
 namespace bwshare::sim {
 namespace {
 
-class EngineAllocTest : public ::testing::TestWithParam<double> {};
+class EngineAllocTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(EngineAllocTest, WarmReplayMakesZeroSteadyStateAllocations) {
   constexpr int kNodes = 32;
@@ -37,11 +38,11 @@ TEST_P(EngineAllocTest, WarmReplayMakesZeroSteadyStateAllocations) {
                                         cluster, kNodes);
   const flowsim::FluidRateProvider provider(cal);
   const Scenario scenario;
-  EngineConfig cfg;
-  cfg.barrier_cost = GetParam();
+  const EngineConfig cfg;
+  const bool settle = GetParam();
 
-  const auto trace1 = matching_trace(kNodes, 1, /*seed=*/7);
-  const auto trace = matching_trace(kNodes, kRounds, /*seed=*/7);
+  const auto trace1 = matching_trace(kNodes, 1, /*seed=*/7, 4e6, settle);
+  const auto trace = matching_trace(kNodes, kRounds, /*seed=*/7, 4e6, settle);
 
   const auto count_replay = [&](const AppTrace& t, int rounds) {
     const uint64_t before = util::alloc_count();
@@ -64,10 +65,10 @@ TEST_P(EngineAllocTest, WarmReplayMakesZeroSteadyStateAllocations) {
       << "must not touch the global allocator";
 }
 
-INSTANTIATE_TEST_SUITE_P(BarrierCosts, EngineAllocTest,
-                         ::testing::Values(0.0, 1e-3),
+INSTANTIATE_TEST_SUITE_P(AfterBarrier, EngineAllocTest,
+                         ::testing::Values(false, true),
                          [](const auto& info) {
-                           return info.param == 0.0 ? "Free" : "Costed";
+                           return info.param ? "ZeroLengthCompute" : "Nothing";
                          });
 
 }  // namespace

@@ -40,10 +40,8 @@ void check_churn_determinism(const AppTrace& trace,
                              const topo::ClusterSpec& cluster,
                              const Placement& placement,
                              const flowsim::RateProvider& provider,
-                             const Scenario& scenario,
-                             double barrier_cost = 0.0) {
+                             const Scenario& scenario) {
   EngineConfig cfg;
-  cfg.barrier_cost = barrier_cost;
   const auto serial = expect_cross_check_clean(trace, cluster, placement,
                                                provider, scenario, cfg);
   for (const int threads : {1, 2, 8}) {
@@ -74,11 +72,7 @@ TEST_P(ParallelChurnScenarioFuzz, AllModesBitIdenticalUnderChurn) {
   const auto scenario =
       churn_scenario(static_cast<uint64_t>(GetParam()) + 17, nodes);
   ASSERT_NO_THROW(scenario.validate(tasks, nodes));
-  // A positive barrier cost on odd seeds overshoots in-flight predictions,
-  // stacking the pre-barrier-cost flush point on top of the script events.
-  const double barrier_cost = GetParam() % 2 == 0 ? 0.0 : 5e-3;
-  check_churn_determinism(trace, cluster, placement, provider, scenario,
-                          barrier_cost);
+  check_churn_determinism(trace, cluster, placement, provider, scenario);
 }
 
 TEST_P(ParallelChurnScenarioFuzz, FatTreeCouplingStaysDeterministic) {
@@ -305,13 +299,14 @@ TEST(EngineChurn, ScriptEventsBeyondTheMakespanNeverFire) {
   expect_bit_identical(base, result);
 }
 
-TEST(EngineChurn, BarrierCostFlushesTheReleasingCompletionsComponent) {
-  // A background flow shares both hosts with the job's only transfer. With
-  // zero latency, that transfer's completion releases the barrier in the
-  // same event that dirtied the flow's component, so the flush before the
-  // barrier cost advances the clock is what lets the flow speed up to its
-  // solo rate for the whole cost interval (and check (e) of the engine —
-  // no dirty component when the clock moves — guards it).
+TEST(EngineChurn, BarrierReleaseRegroupsTheReleasingCompletionsComponent) {
+  // A background flow shares both hosts with the job's transfers. With zero
+  // latency, the first transfer's completion releases the barrier in the
+  // same event that shrank the flow's component, and the release posts a
+  // second transfer that joins it again. The one flush at the top of the
+  // event loop must regroup and solve that shrunk-then-grown component
+  // before the clock moves: the two flows then share host 0's link until
+  // the second transfer drains, and the flow finishes alone.
   auto cal = topo::gigabit_ethernet_calibration();
   cal.latency = 0.0;
   const auto cluster = topo::ClusterSpec::uniform("barrierflush", 2, 1, cal);
@@ -323,22 +318,25 @@ TEST(EngineChurn, BarrierCostFlushesTheReleasingCompletionsComponent) {
   trace.push(0, Event::send(1, kJob));
   trace.push(1, Event::recv(0, kJob));
   trace.push_barrier_all();
+  trace.push(0, Event::send(1, kJob));
+  trace.push(1, Event::recv(0, kJob));
   trace.push(0, Event::compute(1.0));  // outlive the background flow
   Scenario scenario;
   scenario.background.push_back({0.0, 0, 1, kBackground});
-  EngineConfig cfg;
-  cfg.barrier_cost = 5e-3;
-  const auto result = expect_cross_check_clean(trace, cluster, placement,
-                                               provider, scenario, cfg);
-  ASSERT_EQ(result.comms.size(), 2u);
+  const auto result =
+      expect_cross_check_clean(trace, cluster, placement, provider, scenario);
+  ASSERT_EQ(result.comms.size(), 3u);
   ASSERT_TRUE(result.comms[1].background);
-  // Both flows share host 0's TX link at half the link rate each until the
-  // job transfer drains; the flow then runs alone at its single-stream rate.
+  // Each job transfer shares host 0's TX link with the flow at half the
+  // link rate; the flow then runs alone at its single-stream rate.
   const double shared = cal.link_bandwidth / 2.0;
   const double release = kJob / shared;
   EXPECT_DOUBLE_EQ(result.comms[0].finish, release);
-  EXPECT_DOUBLE_EQ(result.comms[1].finish,
-                   release + (kBackground - kJob) / cal.reference_bandwidth());
+  EXPECT_DOUBLE_EQ(result.comms[2].start, release);
+  EXPECT_DOUBLE_EQ(result.comms[2].finish, 2.0 * release);
+  EXPECT_DOUBLE_EQ(
+      result.comms[1].finish,
+      2.0 * release + (kBackground - 2.0 * kJob) / cal.reference_bandwidth());
 }
 
 // --- release-path goldens --------------------------------------------------

@@ -35,11 +35,10 @@ namespace {
 SimResult run_solve(const AppTrace& trace, const topo::ClusterSpec& cluster,
                     const Placement& placement,
                     const flowsim::RateProvider& provider, SolveMode solve,
-                    util::ThreadPool* pool, double barrier_cost = 0.0) {
+                    util::ThreadPool* pool) {
   EngineConfig cfg;
   cfg.solve = solve;
   cfg.solve_pool = pool;
-  cfg.barrier_cost = barrier_cost;
   return run_simulation(trace, cluster, placement, provider, cfg);
 }
 
@@ -51,21 +50,17 @@ SimResult run_solve(const AppTrace& trace, const topo::ClusterSpec& cluster,
 void check_parallel_matches_serial(const AppTrace& trace,
                                    const topo::ClusterSpec& cluster,
                                    const Placement& placement,
-                                   const flowsim::RateProvider& provider,
-                                   double barrier_cost = 0.0) {
-  const auto serial =
-      run_solve(trace, cluster, placement, provider, SolveMode::kSerial,
-                nullptr, barrier_cost);
+                                   const flowsim::RateProvider& provider) {
+  const auto serial = run_solve(trace, cluster, placement, provider,
+                                SolveMode::kSerial, nullptr);
   for (const int threads : {1, 2, 8}) {
     util::ThreadPool pool(threads);
-    const auto parallel =
-        run_solve(trace, cluster, placement, provider, SolveMode::kParallel,
-                  &pool, barrier_cost);
+    const auto parallel = run_solve(trace, cluster, placement, provider,
+                                    SolveMode::kParallel, &pool);
     expect_bit_identical(serial, parallel);
   }
   util::ThreadPool pool(2);
   EngineConfig cfg;
-  cfg.barrier_cost = barrier_cost;
   cfg.solve = SolveMode::kParallel;
   cfg.solve_pool = &pool;
   expect_bit_identical(serial,
@@ -82,16 +77,12 @@ TEST_P(ParallelChurnFuzz, ParallelSolveIsBitIdenticalToSerial) {
   const int tasks = 5 + static_cast<int>(rng.below(5));
   const auto trace = churn_trace(static_cast<uint64_t>(GetParam()), tasks);
   ASSERT_NO_THROW(trace.validate());
-  // A positive barrier cost on odd seeds overshoots in-flight predictions,
-  // exercising the pre-barrier-cost flush point.
-  const double barrier_cost = GetParam() % 2 == 0 ? 0.0 : 5e-3;
   const auto cluster = topo::ClusterSpec::uniform(
       "parfuzz", (tasks + 1) / 2, 2, topo::gigabit_ethernet_calibration());
   const auto placement =
       make_placement(SchedulingPolicy::kRandom, cluster, tasks, rng());
   const flowsim::FluidRateProvider provider(cluster.network());
-  check_parallel_matches_serial(trace, cluster, placement, provider,
-                                barrier_cost);
+  check_parallel_matches_serial(trace, cluster, placement, provider);
 }
 
 TEST_P(ParallelChurnFuzz, ParallelSolveMatchesSerialUnderFatTreeCoupling) {

@@ -9,9 +9,8 @@
 // The staggered fuzz here deliberately forces mid-flight re-predictions in
 // both directions: hotspot fan-ins make every new transfer shrink its
 // component's rates (finish times grow, increase-key), every completion
-// grows them again (finish times shrink, decrease-key), and a positive
-// barrier cost overshoots predictions so late completions clamp and
-// barrier releases cascade through the wake sweep.
+// grows them again (finish times shrink, decrease-key), and barrier
+// releases cascade through the wake sweep.
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -27,15 +26,6 @@
 namespace bwshare::sim {
 namespace {
 
-SimResult run_cost(const AppTrace& trace, const topo::ClusterSpec& cluster,
-                   const Placement& placement,
-                   const flowsim::RateProvider& provider,
-                   double barrier_cost) {
-  EngineConfig cfg;
-  cfg.barrier_cost = barrier_cost;
-  return run_simulation(trace, cluster, placement, provider, cfg);
-}
-
 class QueueFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(QueueFuzz, HeapIsBitIdenticalToScanOnChurningTraces) {
@@ -43,18 +33,12 @@ TEST_P(QueueFuzz, HeapIsBitIdenticalToScanOnChurningTraces) {
   const int tasks = 5 + static_cast<int>(rng.below(5));
   const auto trace = churn_trace(static_cast<uint64_t>(GetParam()), tasks);
   ASSERT_NO_THROW(trace.validate());
-  // A positive barrier cost overshoots in-flight predictions, exercising
-  // the clamped late-completion path of the queue.
-  const double barrier_cost = GetParam() % 2 == 0 ? 0.0 : 5e-3;
   const auto cluster = topo::ClusterSpec::uniform(
       "queuefuzz", (tasks + 1) / 2, 2, topo::gigabit_ethernet_calibration());
   const auto placement =
       make_placement(SchedulingPolicy::kRandom, cluster, tasks, rng());
   const flowsim::FluidRateProvider provider(cluster.network());
-  EngineConfig cfg;
-  cfg.barrier_cost = barrier_cost;
-  expect_cross_check_clean(trace, cluster, placement, provider, Scenario{},
-                           cfg);
+  expect_cross_check_clean(trace, cluster, placement, provider);
 }
 
 TEST_P(QueueFuzz, HeapMatchesScanUnderFatTreeCoupling) {
@@ -89,8 +73,8 @@ TEST(QueueDeterminism, RepeatedHeapRunsAreIdentical) {
   const auto placement =
       make_placement(SchedulingPolicy::kRoundRobinNode, cluster, 7);
   const flowsim::FluidRateProvider provider(cluster.network());
-  const auto a = run_cost(trace, cluster, placement, provider, 1e-3);
-  const auto b = run_cost(trace, cluster, placement, provider, 1e-3);
+  const auto a = run_simulation(trace, cluster, placement, provider);
+  const auto b = run_simulation(trace, cluster, placement, provider);
   expect_bit_identical(a, b);
 }
 
@@ -125,12 +109,13 @@ TEST(WakeSweep, ZeroLengthComputeBehindTheSweepIsRequeued) {
 }
 
 TEST(WakeSweep, BarrierReleaseGrowsTheDrainOnBothSidesOfTheSweep) {
-  // Job 0 (tasks 1-4) meets at a barrier; task 1 arrives last, at t=1,
-  // from inside the sweep. The release charges the barrier cost (the clock
-  // jumps to 1.125) and starts zero-length computes on tasks 1-4, so the
-  // drain grows mid-sweep: ids 1 (a second entry) and 2-4, on both sides of
-  // the sweep position, plus job 1's tasks 0 and 5, whose computes fell due
-  // during the cost interval. The sweep wakes 2-5; 0 and 1 are re-queued.
+  // Tasks 0, 1 and 5 fall due at t=1 in one sweep. Task 0 wakes first and
+  // re-enters a zero-length compute: a second id-0 entry, behind the sweep.
+  // Task 1 wakes next and arrives last at job 0's barrier (tasks 1-4); the
+  // release starts zero-length computes on tasks 1-4, so the drain grows
+  // mid-sweep again: id 1 (a second entry) behind the sweep position, 2-4
+  // ahead of it. The sweep wakes 2-5; 0 and 1 are re-queued and wake at
+  // t=1 on the next main-loop turn.
   AppTrace trace(6);
   for (const TaskId t : {2, 3, 4}) trace.push(t, Event::compute(0.5));
   trace.push(1, Event::compute(1.0));
@@ -139,22 +124,21 @@ TEST(WakeSweep, BarrierReleaseGrowsTheDrainOnBothSidesOfTheSweep) {
     trace.push(t, Event::compute(0.0));
     trace.push(t, Event::compute(0.25));
   }
-  for (const TaskId t : {0, 5}) {
-    trace.push(t, Event::compute(1.0625));
-    trace.push(t, Event::compute(0.5));
-  }
+  trace.push(0, Event::compute(1.0));
+  trace.push(0, Event::compute(0.0));
+  trace.push(0, Event::compute(0.5));
+  trace.push(5, Event::compute(1.0));
+  trace.push(5, Event::compute(0.5));
   Scenario scenario;
   scenario.job_of = {1, 0, 0, 0, 0, 1};
   const auto cluster = topo::ClusterSpec::uniform(
       "wakegrow", 6, 1, topo::gigabit_ethernet_calibration());
   const flowsim::FluidRateProvider provider(cluster.network());
-  EngineConfig cfg;
-  cfg.barrier_cost = 0.125;
   const auto result = expect_cross_check_clean(
-      trace, cluster, identity_placement(6), provider, scenario, cfg);
-  // Job 1's wakes slip to the end of the cost interval: 1.125 + 0.5.
-  EXPECT_EQ(result.makespan, 1.625);
-  EXPECT_EQ(result.tasks[1].finish_time, 1.375);
+      trace, cluster, identity_placement(6), provider, scenario);
+  EXPECT_EQ(result.makespan, 1.5);
+  EXPECT_EQ(result.tasks[0].finish_time, 1.5);
+  EXPECT_EQ(result.tasks[1].finish_time, 1.25);
 }
 
 TEST(WakeSweep, LargeSameInstantBatchMatchesTheScan) {

@@ -74,6 +74,14 @@ TEST(Sequential, ConfigValidation) {
   config = SequentialConfig{};
   config.resamples = 0;
   EXPECT_THROW(config.validate(), Error);
+  // A negative count cast to size_t (how "--resamples -1" used to arrive)
+  // is a named error up front, not a failed reservation mid-campaign.
+  config.resamples = static_cast<size_t>(-1);
+  EXPECT_THROW(config.validate(), Error);
+  config.resamples = SequentialConfig::kMaxResamples + 1;
+  EXPECT_THROW(config.validate(), Error);
+  config.resamples = SequentialConfig::kMaxResamples;
+  EXPECT_NO_THROW(config.validate());
   EXPECT_THROW(SequentialTest(SequentialConfig{}, 0), Error);
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "util/error.hpp"
 
 namespace bwshare {
@@ -45,6 +49,42 @@ TEST(Cli, MalformedNumberThrows) {
   const auto args = make({"--n", "abc"});
   EXPECT_THROW((void)args.get_int("n", 0), Error);
   EXPECT_THROW((void)args.get_double("n", 0.0), Error);
+}
+
+TEST(Cli, IntBoundsRejectValuesOutsideTheRange) {
+  const auto args = make({"--resamples", "-1", "--nodes", "4294967297",
+                          "--batch", "0", "--threads", "4096"});
+  // A flag that narrows to int or size_t names its own bounds; anything
+  // outside is a named error, never a wrapped value.
+  try {
+    (void)args.get_int("resamples", 400, 1, 1000000);
+    FAIL() << "--resamples -1 must be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("flag --resamples integer out of "
+                                         "range: '-1' (must be in [1, "
+                                         "1000000])"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)args.get_int("nodes", 16, 1, kCliIntMax), Error);
+  EXPECT_THROW((void)args.get_int("batch", 8, 1, kCliIntMax), Error);
+  // The bounds are inclusive, and a missing flag returns the fallback
+  // unchecked.
+  EXPECT_EQ(args.get_int("threads", 0, 0, 4096), 4096);
+  EXPECT_EQ(args.get_int("missing", 7, 1, 3), 7);
+}
+
+TEST(Cli, U64FlagsAreDigitsOnly) {
+  const auto args = make({"--seed", "-1", "--scenario-seed",
+                          "18446744073709551615", "--big",
+                          "18446744073709551616", "--plus", "+5"});
+  // strtoull would wrap "-1" to 2^64-1; a seed must be rejected instead.
+  EXPECT_THROW((void)args.get_u64("seed", 42), Error);
+  EXPECT_EQ(args.get_u64("scenario-seed", 42),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_THROW((void)args.get_u64("big", 42), Error);
+  EXPECT_THROW((void)args.get_u64("plus", 42), Error);
+  EXPECT_EQ(args.get_u64("missing", 42), 42u);
 }
 
 TEST(Cli, Positional) {
