@@ -10,7 +10,7 @@
 #include "topo/cluster.hpp"
 #include "util/strings.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
 
@@ -56,4 +56,7 @@ int main(int argc, char** argv) {
                "misses sharing entirely;\n  Kim-Lee over-penalizes "
                "asymmetric conflicts; the paper's models win.\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -12,7 +12,7 @@
 #include "topo/network.hpp"
 #include "util/strings.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
   const double bytes = parse_size(args.get("size", "2M"));
@@ -42,9 +42,7 @@ int main(int argc, char** argv) {
     stats::Accumulator agreement;
     for (const auto& c : cases) {
       const auto fluid = mpi::completion_penalties(c.g, cal);
-      flowsim::PacketSimConfig cfg;
-      cfg.cal = cal;
-      const auto packet = flowsim::measure_penalties_packet(c.g, cfg);
+      const auto packet = flowsim::measure_penalties_packet(c.g, cal);
       for (graph::CommId i = 0; i < c.g.size(); ++i) {
         const double ratio = packet[static_cast<size_t>(i)] /
                              fluid[static_cast<size_t>(i)];
@@ -62,4 +60,7 @@ int main(int argc, char** argv) {
         agreement.mean(), agreement.min(), agreement.max());
   }
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -31,7 +31,7 @@ double simulate(const sim::AppTrace& trace, const topo::ClusterSpec& cluster,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
   const int p = static_cast<int>(args.get_int("tasks", 16, 2, kCliIntMax));
   const double bytes = parse_size(args.get("size", "4M"));
@@ -85,4 +85,7 @@ int main(int argc, char** argv) {
                "1.00); tree/scatter shapes\n  stress the models the way "
                "fig-2's fans do.\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -15,7 +15,7 @@
 #include "topo/cluster.hpp"
 #include "util/strings.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
   const double bytes = parse_size(args.get("size", "20M"));
@@ -74,4 +74,7 @@ int main(int argc, char** argv) {
                "error grows with\n  the income/outgo load — the gap the "
                "paper's future work was after.\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

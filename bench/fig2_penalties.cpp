@@ -52,7 +52,7 @@ const std::map<int, std::map<std::string, std::array<double, 3>>> kPaper = {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
   const double bytes = parse_size(args.get("size", "20M"));
 
@@ -93,4 +93,7 @@ int main(int argc, char** argv) {
   std::cout << "\n  Note: S5/S6 'd' diverges from the paper (see DESIGN.md "
                "S2 on the arrow-geometry reconstruction).\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -33,15 +33,13 @@ models::MeasureFn fluid_measure(const topo::ClusterSpec& cluster) {
 /// MeasureFn backed by the packet-level TCP simulator (finer asymmetries).
 models::MeasureFn packet_measure(const topo::ClusterSpec& cluster) {
   return [&cluster](const graph::CommGraph& scheme) {
-    flowsim::PacketSimConfig cfg;
-    cfg.cal = cluster.network();
-    return flowsim::measure_scheme_packet(scheme, cfg);
+    return flowsim::measure_scheme_packet(scheme, cluster.network());
   };
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
   const auto cluster = topo::ClusterSpec::ibm_eserver326_gige(8);
 
@@ -100,4 +98,7 @@ int main(int argc, char** argv) {
   bench::emit(args, "fig4_verify", verify);
   std::cout << strformat("  E_abs over the scheme: %.1f %%\n", cmp.eabs);
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -9,7 +9,7 @@
 #include "models/myrinet.hpp"
 #include "util/strings.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
 
@@ -58,4 +58,7 @@ int main(int argc, char** argv) {
   std::cout << "  Paper fig 6:   Sum 1 2 2 2 2 3 | Minimum 1 1 1 2 2 2 | "
                "penalty 5 5 5 2.5 2.5 2.5\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

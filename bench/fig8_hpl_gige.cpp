@@ -6,11 +6,14 @@
 #include "hpl_bench.hpp"
 #include "models/gige.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bwshare;
   const auto cluster = topo::ClusterSpec::ibm_eserver326_gige(16);
   const models::GigabitEthernetModel model;
   return bench::run_hpl_bench(argc, argv,
                               "Fig 8 - HPL on Gigabit Ethernet", cluster,
                               model);
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

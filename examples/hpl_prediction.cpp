@@ -13,7 +13,7 @@
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
 
@@ -53,4 +53,7 @@ int main(int argc, char** argv) {
                "shared-memory copies);\nRandom placement scatters them and "
                "pays full network cost.\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

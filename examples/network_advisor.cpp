@@ -55,7 +55,7 @@ sim::AppTrace halo_app(int ranks) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
   const int tasks =
       static_cast<int>(args.get_int("tasks", 16, 2, eval::kMaxShapeDim));
@@ -141,4 +141,7 @@ int main(int argc, char** argv) {
                "shares more gracefully\n(the paper's closing observation in "
                "SIV-C).\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

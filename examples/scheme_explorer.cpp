@@ -29,7 +29,7 @@ comm f 2 -> 5
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
 
@@ -68,4 +68,7 @@ int main(int argc, char** argv) {
     std::cout << "\n" << graph::to_dot(g, notes);
   }
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 
 #include "core/event_queue.hpp"
 
@@ -32,9 +33,6 @@ class Clock {
 
 /// A Clock driving an EventQueue of handlers: schedule callbacks at
 /// absolute or relative times, then run() pops them in (time, FIFO) order.
-/// schedule_* return the entry's EventHandle so a pending event can be
-/// cancel()ed in O(log n); stale handles (already fired, cancelled or
-/// cleared) are recognised and reported, never aliased.
 class Reactor {
  public:
   using Handler = std::function<void()>;
@@ -42,17 +40,14 @@ class Reactor {
   [[nodiscard]] double now() const { return clock_.now(); }
 
   /// Schedule `handler` at absolute time `when` (>= now).
-  EventHandle schedule_at(double when, Handler handler);
+  void schedule_at(double when, Handler handler);
   /// Schedule `handler` `delay` seconds from now.
-  EventHandle schedule_in(double delay, Handler handler);
+  void schedule_in(double delay, Handler handler);
 
-  /// Drop a pending event. Returns false (and does nothing) if the handle
-  /// is stale — the event already fired, was cancelled, or was cleared.
-  bool cancel(EventHandle h);
-
-  /// Run until the queue drains or the next event lies beyond `max_time`.
-  /// Returns the number of events processed.
-  size_t run(double max_time = 1e18);
+  /// Run until the queue drains or `max_events` handlers have run, whichever
+  /// comes first; a caller that needs the queue drained checks empty()
+  /// afterwards. Returns the number of events processed.
+  size_t run(size_t max_events = std::numeric_limits<size_t>::max());
 
   /// Drop all pending events (the clock keeps its position).
   void clear() { queue_.clear(); }

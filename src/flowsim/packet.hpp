@@ -16,6 +16,8 @@
 // All modes share the host model: per-flow injection paced at the
 // single-stream efficiency, and a host IO engine of capacity
 // duplex_factor x link shared between directions with RX priority weight.
+// The TCP window (64 packets), the InfiniBand credits (16 per flow) and the
+// event budget (5·10⁷) are fixed constants in packet.cpp.
 //
 // These simulators are the high-fidelity cross-check of the fluid substrate
 // (bench/abl_fluid_vs_packet); the fluid model is what experiments use.
@@ -28,23 +30,14 @@
 
 namespace bwshare::flowsim {
 
-struct PacketSimConfig {
-  topo::NetworkCalibration cal;
-  /// TCP window in packets (kTcpPauseFrames); effective cwnd after ramp-up.
-  int window_packets = 64;
-  /// Link-level credits per flow (kCreditBased).
-  int credits = 16;
-  /// Safety cap on simulated events.
-  size_t max_events = 50'000'000;
-};
-
 /// Simulate all communications of `graph` starting at t=0 at packet
-/// granularity; returns per-comm completion times (graph order).
+/// granularity under `cal`; returns per-comm completion times (graph order).
+/// Throws bwshare::Error if the simulation needs more than 5·10⁷ events.
 [[nodiscard]] std::vector<double> measure_scheme_packet(
-    const graph::CommGraph& graph, const PacketSimConfig& config);
+    const graph::CommGraph& graph, const topo::NetworkCalibration& cal);
 
 /// Penalties P_i = T_i / T_ref from the packet simulator.
 [[nodiscard]] std::vector<double> measure_penalties_packet(
-    const graph::CommGraph& graph, const PacketSimConfig& config);
+    const graph::CommGraph& graph, const topo::NetworkCalibration& cal);
 
 }  // namespace bwshare::flowsim

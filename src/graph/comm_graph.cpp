@@ -1,6 +1,7 @@
 #include "graph/comm_graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -12,6 +13,7 @@ CommId CommGraph::add(std::string label, topo::NodeId src, topo::NodeId dst,
   BWS_CHECK(!label.empty(), "communication label must not be empty");
   BWS_CHECK(src >= 0 && dst >= 0, "node ids must be non-negative");
   BWS_CHECK(bytes >= 0.0, "message size must be non-negative");
+  BWS_CHECK(std::isfinite(bytes), "message size must be finite");
   const CommId id = static_cast<CommId>(comms_.size());
   // The label index keeps add() O(1) — graphs are rebuilt per refresh on
   // the simulator's hot path, so a linear duplicate scan would make every
@@ -29,6 +31,7 @@ CommId CommGraph::add(std::string label, topo::NodeId src, topo::NodeId dst,
 CommId CommGraph::add(topo::NodeId src, topo::NodeId dst, double bytes) {
   BWS_CHECK(src >= 0 && dst >= 0, "node ids must be non-negative");
   BWS_CHECK(bytes >= 0.0, "message size must be non-negative");
+  BWS_CHECK(std::isfinite(bytes), "message size must be finite");
   const CommId id = static_cast<CommId>(comms_.size());
   comms_.push_back(Comm{src, dst, bytes});
   num_nodes_ = std::max(num_nodes_, std::max(src, dst) + 1);

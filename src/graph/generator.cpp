@@ -179,6 +179,10 @@ void ChurnSpec::validate() const {
   BWS_CHECK(horizon > 0.0 && std::isfinite(horizon),
             strformat("churn: horizon must be finite and > 0, got %g",
                       horizon));
+  BWS_CHECK(rate * horizon <= kMaxScriptEvents,
+            strformat("churn: rate * horizon must be <= kMaxScriptEvents "
+                      "(%g expected events), got %g",
+                      kMaxScriptEvents, rate * horizon));
   // The per-event up/down scan is O(nodes), so the cap tracks the largest
   // bench cluster (bench/engine_scaling --nodes 65536) rather than the
   // generator's comms cap.
@@ -239,6 +243,10 @@ void BackgroundSpec::validate() const {
   BWS_CHECK(horizon > 0.0 && std::isfinite(horizon),
             strformat("background: horizon must be finite and > 0, got %g",
                       horizon));
+  BWS_CHECK(rate * horizon <= kMaxScriptEvents,
+            strformat("background: rate * horizon must be <= "
+                      "kMaxScriptEvents (%g expected flows), got %g",
+                      kMaxScriptEvents, rate * horizon));
   BWS_CHECK(nodes >= 2 && nodes <= 65536,
             strformat("background: nodes must be in [2, 65536], got %d",
                       nodes));

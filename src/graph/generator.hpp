@@ -68,6 +68,13 @@ struct GeneratorSpec {
 // Membership churn scripts
 // ---------------------------------------------------------------------------
 
+/// The most events a churn or background script may expect to hold:
+/// ChurnSpec/BackgroundSpec::validate reject rate * horizon above it, so a
+/// hostile rate fails with a named error instead of exhausting memory. The
+/// sweep axes, CLI flags and serve keys use a 1 s horizon, so the cap is a
+/// rate of 10^6 per second there.
+inline constexpr double kMaxScriptEvents = 1e6;
+
 enum class ChurnKind {
   kJoin,   ///< a down node comes (back) up
   kLeave,  ///< a node departs gracefully: in-flight transfers drain
@@ -86,7 +93,8 @@ struct ChurnEvent {
 
 struct ChurnSpec {
   /// Poisson arrival rate of membership events, in events per second of
-  /// simulated time; >= 0 (0 yields an empty script).
+  /// simulated time; >= 0 (0 yields an empty script), and
+  /// rate * horizon <= kMaxScriptEvents.
   double rate = 0.0;
   /// Script horizon in seconds, > 0. Events past the horizon are not drawn.
   double horizon = 1.0;
@@ -122,7 +130,8 @@ struct BackgroundFlow {
 };
 
 struct BackgroundSpec {
-  /// Poisson injection rate in flows per second of simulated time; >= 0.
+  /// Poisson injection rate in flows per second of simulated time; >= 0,
+  /// and rate * horizon <= kMaxScriptEvents.
   double rate = 0.0;
   /// Script horizon in seconds, > 0.
   double horizon = 1.0;

@@ -22,7 +22,6 @@ sim::AppTrace make_hpl_trace(const HplParams& params) {
   BWS_CHECK(params.n >= 1, "problem size must be positive");
   BWS_CHECK(params.nb >= 1, "block size must be positive");
   BWS_CHECK(params.tasks >= 2, "HPL trace needs at least two tasks");
-  BWS_CHECK(params.flops_per_second > 0.0, "compute rate must be positive");
 
   const int p = params.tasks;
   sim::AppTrace trace(p);
@@ -50,18 +49,18 @@ sim::AppTrace make_hpl_trace(const HplParams& params) {
     const double m = std::max(0, params.n - k * params.nb);
     const double nb = std::min(params.nb, params.n - k * params.nb);
     const double bytes = panel_bytes(params, k);
-    const double t_panel = panel_flops(m, nb) / params.flops_per_second;
+    const double t_panel = panel_flops(m, nb) / kFlopsPerSecond;
     const double next_bytes = k + 1 < panels ? panel_bytes(params, k + 1) : 0.0;
 
     // Trailing matrix after this panel.
     const double trailing_cols = std::max(0.0, m - nb);
     const double per_task_cols = trailing_cols / p;
     const double t_update =
-        update_flops(m - nb, per_task_cols, nb) / params.flops_per_second;
+        update_flops(m - nb, per_task_cols, nb) / kFlopsPerSecond;
 
     // Post the lookahead Irecv for panel k+1 on everyone but its owner.
     auto post_lookahead_irecv = [&](int task) {
-      if (!params.lookahead || k + 1 >= panels || next_bytes <= 0.0) return;
+      if (k + 1 >= panels || next_bytes <= 0.0) return;
       if (task == next_owner) return;
       trace.push(task,
                  sim::Event::irecv((task + p - 1) % p, next_bytes));
@@ -91,8 +90,6 @@ sim::AppTrace make_hpl_trace(const HplParams& params) {
       for (int hop = 1; hop < p; ++hop)
         trace.push((owner + hop) % p, sim::Event::compute(t_update));
     }
-
-    if (params.barrier_per_iteration) trace.push_barrier_all();
   }
 
   trace.validate();

@@ -13,11 +13,21 @@
 //
 // Message size for panel k = rows_below(k) x NB x 8 bytes, exactly HPL's
 // panel payload.
+//
+// The trace always uses depth-1 lookahead (HPL's default): the next panel's
+// owner updates its panel columns first, factorizes and *starts
+// broadcasting the next panel while the current broadcast is still
+// travelling the ring*. This is what makes communications overlap — and
+// therefore conflict — on co-located placements. No barrier separates the
+// iterations.
 #pragma once
 
 #include "sim/events.hpp"
 
 namespace bwshare::hpl {
+
+/// Per-task sustained compute rate, flop/s (2 GHz Opteron era: ~3.2e9).
+inline constexpr double kFlopsPerSecond = 3.2e9;
 
 struct HplParams {
   /// Problem size (paper: 20500).
@@ -26,20 +36,9 @@ struct HplParams {
   int nb = 120;
   /// Number of MPI tasks.
   int tasks = 16;
-  /// Per-task sustained compute rate, flop/s (2 GHz Opteron era: ~3.2e9).
-  double flops_per_second = 3.2e9;
-  /// Insert a barrier between iterations (the paper's measurement method
-  /// synchronizes with barriers).
-  bool barrier_per_iteration = false;
   /// Stop after this many panels (0 = full factorization). Keeps benches
   /// fast while preserving the communication pattern.
   int max_panels = 0;
-  /// Depth-1 lookahead (HPL's default): the next panel's owner updates its
-  /// panel columns first, factorizes and *starts broadcasting the next
-  /// panel while the current broadcast is still travelling the ring*. This
-  /// is what makes communications overlap — and therefore conflict — on
-  /// co-located placements.
-  bool lookahead = true;
 };
 
 /// Build the per-task event trace of one HPL factorization.

@@ -9,17 +9,6 @@ std::vector<double> LinearLogGPModel::penalties(
   return std::vector<double>(static_cast<size_t>(graph.size()), 1.0);
 }
 
-std::vector<double> LinearLogGPModel::predict_times(
-    const graph::CommGraph& graph,
-    const topo::NetworkCalibration& /*cal*/) const {
-  std::vector<double> times;
-  times.reserve(static_cast<size_t>(graph.size()));
-  for (const auto& c : graph.comms())
-    times.push_back(params_.latency + 2.0 * params_.overhead +
-                    params_.gap_per_byte * std::max(0.0, c.bytes - 1.0));
-  return times;
-}
-
 std::vector<double> KimLeeModel::penalties(
     const graph::CommGraph& graph) const {
   std::vector<double> out(static_cast<size_t>(graph.size()), 1.0);

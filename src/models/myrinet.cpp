@@ -7,10 +7,6 @@
 
 namespace bwshare::models {
 
-MyrinetModel::MyrinetModel(MyrinetParams params) : params_(params) {
-  BWS_CHECK(params_.max_state_sets > 0, "max_state_sets must be positive");
-}
-
 std::string MyrinetModel::name() const { return "myrinet"; }
 
 MyrinetModel::Analysis MyrinetModel::analyze(const graph::CommGraph& graph,
@@ -22,7 +18,7 @@ MyrinetModel::Analysis MyrinetModel::analyze(const graph::CommGraph& graph,
   out.penalty.assign(static_cast<size_t>(n), 1.0);
   if (n == 0) return out;
 
-  const graph::ConflictGraph conflicts(graph, params_.rule);
+  const graph::ConflictGraph conflicts(graph);
   const auto components = conflicts.components();
 
   // Per-component enumeration. Component set counts multiply globally.
@@ -44,7 +40,7 @@ MyrinetModel::Analysis MyrinetModel::analyze(const graph::CommGraph& graph,
           local.add_edge(static_cast<int>(a), static_cast<int>(b));
     }
     const MisResult mis =
-        enumerate_maximal_independent_sets(local, params_.max_state_sets);
+        enumerate_maximal_independent_sets(local, kMaxStateSets);
     if (!mis.complete) out.complete = false;
     comp_sets[ci] = mis.sets.size();
     const auto counts = emission_counts(mis, static_cast<int>(comp.size()));
@@ -132,7 +128,7 @@ MyrinetModel::Analysis MyrinetModel::analyze(const graph::CommGraph& graph,
           auto merged = prefix;
           merged.insert(merged.end(), choice.begin(), choice.end());
           next.push_back(std::move(merged));
-          BWS_CHECK(next.size() <= params_.max_state_sets,
+          BWS_CHECK(next.size() <= kMaxStateSets,
                     "too many state sets to materialize");
         }
       sets = std::move(next);

@@ -31,16 +31,12 @@
 
 namespace bwshare::models {
 
-struct MyrinetParams {
-  /// Conflict rule; the paper's model uses same-source-or-same-destination.
-  graph::ConflictRule rule = graph::ConflictRule::kSharedEndpointSameDirection;
-  /// Safety valve for pathological graphs.
-  size_t max_state_sets = 1u << 20;
-};
-
 class MyrinetModel final : public PenaltyModel {
  public:
-  explicit MyrinetModel(MyrinetParams params = {});
+  /// Safety valve for pathological graphs: the most maximal independent
+  /// sets one component's enumeration may produce. Hitting it clears
+  /// Analysis::complete; materializing more global sets than this throws.
+  static constexpr size_t kMaxStateSets = size_t{1} << 20;
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::vector<double> penalties(
@@ -64,9 +60,6 @@ class MyrinetModel final : public PenaltyModel {
 
   [[nodiscard]] Analysis analyze(const graph::CommGraph& graph,
                                  bool materialize_sets = false) const;
-
- private:
-  MyrinetParams params_;
 };
 
 }  // namespace bwshare::models

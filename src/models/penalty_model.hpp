@@ -10,6 +10,10 @@
 // communication a penalty p >= 1: the factor by which bandwidth sharing
 // inflates its completion time relative to an unconflicted transfer
 // (paper §IV-B: p_i = T_i / T_ref).
+//
+// A model predicts penalties only. Predicted *times* come from a §VI-A
+// replay: sim::ModelRateProvider turns a model's penalties into transfer
+// rates and sim::run_simulation replays the job with them.
 #pragma once
 
 #include <memory>
@@ -17,7 +21,6 @@
 #include <vector>
 
 #include "graph/comm_graph.hpp"
-#include "topo/network.hpp"
 
 namespace bwshare::models {
 
@@ -31,13 +34,6 @@ class PenaltyModel {
   /// graph.comms()). Intra-node communications always get 1.0.
   [[nodiscard]] virtual std::vector<double> penalties(
       const graph::CommGraph& graph) const = 0;
-
-  /// Predicted completion time of communication `id` under `cal`, assuming
-  /// all communications of `graph` are concurrent for their whole duration.
-  /// Default: latency + penalty * bytes / reference_bandwidth.
-  [[nodiscard]] virtual std::vector<double> predict_times(
-      const graph::CommGraph& graph,
-      const topo::NetworkCalibration& cal) const;
 };
 
 using PenaltyModelPtr = std::unique_ptr<PenaltyModel>;

@@ -801,19 +801,17 @@ class Engine {
         cfg_.solve == SolveMode::kParallel && solve_list_.size() > 1;
     if (parallel) {
       util::ThreadPool& pool = *cfg_.solve_pool;
-      util::TaskGroup group(pool);
       // Chunked round-robin: enough tasks to balance uneven component
       // sizes, few enough to keep per-task overhead negligible.
       const size_t chunks =
           std::min(solve_list_.size(),
                    static_cast<size_t>(pool.num_threads()) * 4);
-      for (size_t chunk = 0; chunk < chunks; ++chunk) {
-        group.run([this, chunk, chunks, &staged] {
-          for (size_t i = chunk; i < solve_list_.size(); i += chunks)
-            compute_component_rates(solve_list_[i], staged(i));
-        });
-      }
-      group.wait();  // rethrows the first provider failure, if any
+      // Rethrows the first provider failure, if any.
+      util::parallel_for(pool, static_cast<int>(chunks), [&](int chunk) {
+        for (size_t i = static_cast<size_t>(chunk); i < solve_list_.size();
+             i += chunks)
+          compute_component_rates(solve_list_[i], staged(i));
+      });
     } else {
       for (size_t i = 0; i < solve_list_.size(); ++i)
         compute_component_rates(solve_list_[i], staged(i));
@@ -853,9 +851,8 @@ class Engine {
       h.mix_f64(tr.remaining);
     }
     const uint64_t key = h.digest();
-    bool from_frozen = false;
     std::vector<double>& hit = scratch.memo_rates;
-    if (memo->lookup(key, hit, from_frozen)) {
+    if (memo->lookup(key, hit)) {
       BWS_CHECK(hit.size() == comp.members.size(),
                 "solve memo returned a rate vector of the wrong size "
                 "(key collision or a mis-salted store)");

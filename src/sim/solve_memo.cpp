@@ -2,19 +2,16 @@
 
 namespace bwshare::sim {
 
-bool SolveMemo::lookup(uint64_t key, std::vector<double>& rates,
-                       bool& from_frozen) {
+bool SolveMemo::lookup(uint64_t key, std::vector<double>& rates) {
   if (frozen_ != nullptr && frozen_->lookup(key, rates)) {
     std::lock_guard<std::mutex> lock(mu_);
     ++frozen_hits_;
-    from_frozen = true;
     return true;
   }
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = staged_.find(key);
   if (it != staged_.end()) {
     rates = it->second;
-    from_frozen = false;
     return true;
   }
   ++misses_;

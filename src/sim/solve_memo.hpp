@@ -67,8 +67,8 @@ class SolveMemo {
   [[nodiscard]] bool verify() const { return verify_; }
 
   /// Frozen store first, then this replay's own staged entries.
-  /// Returns true on a hit; `from_frozen` reports which tier answered.
-  bool lookup(uint64_t key, std::vector<double>& rates, bool& from_frozen);
+  /// Returns true on a hit; frozen_hits() counts the frozen tier's.
+  bool lookup(uint64_t key, std::vector<double>& rates);
 
   /// Record a fresh solution; insert-if-absent (a concurrent duplicate of
   /// the same key necessarily carries identical bits, see header comment).

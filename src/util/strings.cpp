@@ -90,17 +90,30 @@ double parse_size(std::string_view text) {
   const std::string buf(t);
   const double value = std::strtod(buf.c_str(), &end);
   BWS_CHECK(end != buf.c_str(), "malformed size literal: '" + buf + "'");
-  std::string_view suffix = trim(std::string_view(end));
-  if (suffix.empty()) return value;
-  if (suffix == "k" || suffix == "K" || suffix == "KB") return value * KB;
-  if (suffix == "M" || suffix == "MB") return value * MB;
-  if (suffix == "G" || suffix == "GB") return value * GB;
-  if (suffix == "KiB") return value * KiB;
-  if (suffix == "MiB") return value * MiB;
-  if (suffix == "GiB") return value * GiB;
-  if (suffix == "B") return value;
-  BWS_THROW("unknown size suffix '" + std::string(suffix) + "' in '" + buf +
-            "'");
+  const std::string_view suffix = trim(std::string_view(end));
+  double scale = 1.0;
+  if (suffix == "k" || suffix == "K" || suffix == "KB") {
+    scale = KB;
+  } else if (suffix == "M" || suffix == "MB") {
+    scale = MB;
+  } else if (suffix == "G" || suffix == "GB") {
+    scale = GB;
+  } else if (suffix == "KiB") {
+    scale = KiB;
+  } else if (suffix == "MiB") {
+    scale = MiB;
+  } else if (suffix == "GiB") {
+    scale = GiB;
+  } else if (!suffix.empty() && suffix != "B") {
+    BWS_THROW("unknown size suffix '" + std::string(suffix) + "' in '" + buf +
+              "'");
+  }
+  // strtod passes "inf", "nan" and overflow (1e400 -> HUGE_VAL) through;
+  // a non-finite size would replay as a transfer that never completes.
+  const double bytes = value * scale;
+  BWS_CHECK(std::isfinite(bytes),
+            "size literal '" + buf + "' is not a finite number of bytes");
+  return bytes;
 }
 
 }  // namespace bwshare

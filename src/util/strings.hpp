@@ -36,7 +36,8 @@ namespace bwshare {
 
 /// Parse a size with optional suffix: "20M", "4MiB", "512k", "1G", "64".
 /// Decimal suffixes k/M/G are powers of ten; KiB/MiB/GiB are powers of two.
-/// Throws bwshare::Error on malformed input.
+/// Throws bwshare::Error on malformed input and on a non-finite result
+/// ("inf", "nan", or an overflowing literal such as "1e400" or "1e300G").
 [[nodiscard]] double parse_size(std::string_view text);
 
 }  // namespace bwshare

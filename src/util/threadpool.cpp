@@ -1,5 +1,6 @@
 #include "util/threadpool.hpp"
 
+#include <exception>
 #include <utility>
 
 #include "util/error.hpp"
@@ -51,26 +52,12 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::on_worker_thread() const { return t_worker_pool == this; }
 
-void ThreadPool::submit(std::function<void()> job) {
-  BWS_CHECK(job != nullptr, "ThreadPool::submit: empty job");
+void ThreadPool::enqueue(std::function<void()> job) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(job));
   }
   cv_work_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  BWS_CHECK(!on_worker_thread(),
-            "ThreadPool::wait_idle must not be called from a pool worker "
-            "(the waiting worker cannot run the jobs it waits for)");
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-  if (first_error_) {
-    const std::exception_ptr err = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
 }
 
 void ThreadPool::worker_loop() {
@@ -83,76 +70,55 @@ void ThreadPool::worker_loop() {
       if (stop_) return;
       job = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
-    std::exception_ptr error;
-    try {
-      job();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (error && !first_error_) first_error_ = error;
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-    }
-  }
-}
-
-TaskGroup::~TaskGroup() {
-  // Drain without rethrow: destructors must not throw. Errors a caller
-  // cares about are observed through an explicit wait(). A worker-thread
-  // destructor with pending tasks would deadlock just like wait() — that is
-  // a usage bug wait() would have flagged; nothing to do about it here
-  // beyond draining, which is a no-op when pending_ == 0 (the common case
-  // of wait() having already run).
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [this] { return pending_ == 0; });
-}
-
-void TaskGroup::run(std::function<void()> task) {
-  BWS_CHECK(task != nullptr, "TaskGroup::run: empty task");
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++pending_;
-  }
-  pool_.submit([this, task = std::move(task)] {
-    std::exception_ptr error;
-    try {
-      task();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (error && !first_error_) first_error_ = error;
-      if (--pending_ == 0) cv_done_.notify_all();
-    }
-  });
-}
-
-void TaskGroup::wait() {
-  BWS_CHECK(!pool_.on_worker_thread(),
-            "TaskGroup::wait must not be called from a pool worker: a "
-            "worker blocked here cannot run the queued tasks it waits for "
-            "(nested-submit deadlock)");
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [this] { return pending_ == 0; });
-  if (first_error_) {
-    const std::exception_ptr err = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(err);
+    job();
   }
 }
 
 void parallel_for(ThreadPool& pool, int n,
                   const std::function<void(int)>& fn) {
-  TaskGroup group(pool);
-  for (int i = 0; i < n; ++i) {
-    group.run([&fn, i] { fn(i); });
+  BWS_CHECK(!pool.on_worker_thread(),
+            "parallel_for must not be called from a worker of the same "
+            "pool: a worker blocked here cannot run the queued iterations "
+            "it waits for (nested-submit deadlock)");
+  if (n <= 0) return;
+  // The batch lives on this stack frame; the last iteration notifies under
+  // the lock, so the frame outlives every access to it. Each job captures
+  // one pointer and an index, small enough for std::function to store
+  // inline rather than on the heap.
+  struct Batch {
+    const std::function<void(int)>& fn;
+    std::mutex mu;
+    std::condition_variable done;
+    int pending;                     // guarded by mu
+    std::exception_ptr first_error;  // guarded by mu
+  } batch{fn, {}, {}, n, nullptr};
+  int queued = 0;
+  std::exception_ptr enqueue_error;
+  try {
+    for (; queued < n; ++queued) {
+      pool.enqueue([&batch, i = queued] {
+        std::exception_ptr error;
+        try {
+          batch.fn(i);
+        } catch (...) {
+          error = std::current_exception();
+        }
+        const std::lock_guard<std::mutex> lock(batch.mu);
+        if (error && !batch.first_error) batch.first_error = error;
+        if (--batch.pending == 0) batch.done.notify_all();
+      });
+    }
+  } catch (...) {
+    // Queueing ran out of memory: the iterations already queued still
+    // reference this frame, so wait for them before rethrowing.
+    enqueue_error = std::current_exception();
   }
-  group.wait();
+  std::unique_lock<std::mutex> lock(batch.mu);
+  batch.pending -= n - queued;
+  batch.done.wait(lock, [&batch] { return batch.pending == 0; });
+  if (enqueue_error) std::rethrow_exception(enqueue_error);
+  if (batch.first_error) std::rethrow_exception(batch.first_error);
 }
 
 }  // namespace bwshare::util

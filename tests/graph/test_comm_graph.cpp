@@ -1,5 +1,6 @@
 #include "graph/comm_graph.hpp"
 
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -73,6 +74,26 @@ TEST(CommGraph, Validation) {
   EXPECT_THROW(g.add("a", -1, 1, 1.0), Error);
   EXPECT_THROW(g.add("a", 0, 1, -5.0), Error);
   EXPECT_THROW((void)g.comm(0), Error);
+}
+
+TEST(CommGraph, NonFiniteBytesRejectedByBothAdds) {
+  // An infinite transfer never completes: the replay would report a
+  // deadlock instead of naming the bad size.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  CommGraph g;
+  for (const double bytes : {inf, nan}) {
+    EXPECT_THROW(g.add("a", 0, 1, bytes), Error);
+    EXPECT_THROW(g.add(0, 1, bytes), Error);
+  }
+  try {
+    g.add(0, 1, inf);
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("message size must be finite"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(g.empty());
 }
 
 // --- label interning + the unlabelled hot path -----------------------------

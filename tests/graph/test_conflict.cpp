@@ -38,7 +38,7 @@ TEST(Conflicts, UnconflictedComm) {
 
 TEST(ConflictGraph, SameDirectionRule) {
   const auto g = schemes::fig5_scheme();
-  const ConflictGraph cg(g, ConflictRule::kSharedEndpointSameDirection);
+  const ConflictGraph cg(g);
   const auto id = [&](const char* label) { return *g.find(label); };
   // Same source: a,b,c from node 0; e,f from node 2.
   EXPECT_TRUE(cg.conflicts(id("a"), id("b")));
@@ -52,16 +52,9 @@ TEST(ConflictGraph, SameDirectionRule) {
   EXPECT_FALSE(cg.conflicts(id("b"), id("d")));
 }
 
-TEST(ConflictGraph, SharedHostRuleAddsIncomeOutgo) {
-  const auto g = schemes::fig5_scheme();
-  const ConflictGraph cg(g, ConflictRule::kSharedHost);
-  const auto id = [&](const char* label) { return *g.find(label); };
-  EXPECT_TRUE(cg.conflicts(id("b"), id("e")));  // b's dst 2 == e's src 2
-}
-
 TEST(ConflictGraph, ComponentsOfFig5) {
   const auto g = schemes::fig5_scheme();
-  const ConflictGraph cg(g, ConflictRule::kSharedEndpointSameDirection);
+  const ConflictGraph cg(g);
   const auto comps = cg.components();
   // Fig 5's six comms are all linked: a-b-c via node 0, a-d-e via node 1,
   // e-f via node 2 -> one component.
@@ -75,7 +68,7 @@ TEST(ConflictGraph, DisjointFansSplitIntoComponents) {
   g.add("b", 0, 2, 1.0);
   g.add("c", 5, 6, 1.0);
   g.add("d", 5, 7, 1.0);
-  const ConflictGraph cg(g, ConflictRule::kSharedEndpointSameDirection);
+  const ConflictGraph cg(g);
   const auto comps = cg.components();
   ASSERT_EQ(comps.size(), 2u);
   EXPECT_EQ(comps[0], (std::vector<CommId>{0, 1}));
@@ -89,7 +82,7 @@ TEST(ConflictGraph, ComponentsOfFullyDisjointGraphAreSingletons) {
   g.add("a", 0, 1, 1.0);
   g.add("b", 2, 3, 1.0);
   g.add("c", 4, 5, 1.0);
-  const ConflictGraph cg(g, ConflictRule::kSharedEndpointSameDirection);
+  const ConflictGraph cg(g);
   const auto comps = cg.components();
   ASSERT_EQ(comps.size(), 3u);
   for (size_t i = 0; i < comps.size(); ++i)
@@ -99,13 +92,12 @@ TEST(ConflictGraph, ComponentsOfFullyDisjointGraphAreSingletons) {
 TEST(ConflictGraph, ComponentsOfSingletonAndEmptyGraphs) {
   CommGraph one;
   one.add("a", 0, 1, 1.0);
-  const ConflictGraph cg_one(one, ConflictRule::kSharedEndpointSameDirection);
+  const ConflictGraph cg_one(one);
   ASSERT_EQ(cg_one.components().size(), 1u);
   EXPECT_EQ(cg_one.components()[0], std::vector<CommId>{0});
 
   const CommGraph empty;
-  const ConflictGraph cg_empty(empty,
-                               ConflictRule::kSharedEndpointSameDirection);
+  const ConflictGraph cg_empty(empty);
   EXPECT_TRUE(cg_empty.components().empty());
 }
 
@@ -115,7 +107,7 @@ TEST(ConflictGraph, IntraNodeCommIsAlwaysASingletonComponent) {
   CommGraph g;
   g.add("net", 0, 1, 1.0);
   g.add("shm", 0, 0, 1.0);
-  const ConflictGraph cg(g, ConflictRule::kSharedHost);
+  const ConflictGraph cg(g);
   const auto comps = cg.components();
   ASSERT_EQ(comps.size(), 2u);
   EXPECT_EQ(comps[0], std::vector<CommId>{0});
@@ -124,7 +116,7 @@ TEST(ConflictGraph, IntraNodeCommIsAlwaysASingletonComponent) {
 
 TEST(ConflictGraph, DegreeCounts) {
   const auto g = schemes::outgoing_fan(4);
-  const ConflictGraph cg(g, ConflictRule::kSharedEndpointSameDirection);
+  const ConflictGraph cg(g);
   for (CommId i = 0; i < g.size(); ++i) EXPECT_EQ(cg.degree(i), 3);
 }
 

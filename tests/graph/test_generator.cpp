@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -158,6 +159,55 @@ TEST(GenerateScheme, SpreadBoundsMessageSizes) {
     if (c.bytes != 1e6) any_off_base = true;
   }
   EXPECT_TRUE(any_off_base);
+}
+
+/// Run `fn`, expecting a bwshare::Error whose message contains `needle`.
+template <typename Fn>
+void expect_error_containing(Fn fn, const std::string& needle) {
+  try {
+    fn();
+    FAIL() << "expected an error containing \"" << needle << "\"";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ScenarioScripts, ChurnRateAboveTheScriptCapIsRejected) {
+  ChurnSpec spec;
+  spec.rate = 1e9;  // bwshare_cli trace --churn 1e9
+  expect_error_containing([&] { (void)generate_churn(spec, 1); },
+                          "churn: rate * horizon must be <= "
+                          "kMaxScriptEvents (1e+06 expected events), got "
+                          "1e+09");
+  // The cap bounds rate * horizon, not the rate alone.
+  spec.rate = kMaxScriptEvents;
+  spec.horizon = 2.0;
+  EXPECT_THROW(spec.validate(), Error);
+  spec.horizon = 1.0;
+  EXPECT_NO_THROW(spec.validate());
+}
+
+TEST(ScenarioScripts, BackgroundRateAboveTheScriptCapIsRejected) {
+  BackgroundSpec spec;
+  spec.rate = 1e12;  // bwshare_cli trace --background 1e12
+  expect_error_containing([&] { (void)generate_background(spec, 1); },
+                          "background: rate * horizon must be <= "
+                          "kMaxScriptEvents (1e+06 expected flows), got "
+                          "1e+12");
+  spec.rate = 2.0 * kMaxScriptEvents;
+  spec.horizon = 0.5;
+  EXPECT_NO_THROW(spec.validate());
+}
+
+TEST(GeneratorSpec, NonFiniteBytesAreRejected) {
+  // ring:nodes=4,bytes=inf used to replay as a transfer that never ends.
+  expect_error_containing(
+      [] { (void)parse_generator_spec("ring:nodes=4,bytes=inf"); },
+      "size literal 'inf' is not a finite number of bytes");
+  expect_error_containing(
+      [] { (void)parse_generator_spec("ring:nodes=4,bytes=1e400"); },
+      "size literal '1e400' is not a finite number of bytes");
 }
 
 }  // namespace

@@ -56,6 +56,11 @@ TEST(SchemeParserErrors, UnknownSizeSuffix) {
                      "unknown size suffix 'QiB' in '3QiB'");
 }
 
+TEST(SchemeParserErrors, NonFiniteSizeLiteral) {
+  expect_parse_error("comm a 0 -> 1 size 1e400\n",
+                     "size literal '1e400' is not a finite number of bytes");
+}
+
 TEST(SchemeParserErrors, UnexpectedCharacter) {
   expect_parse_error("comm a 0 -> 1 $\n", "line 1: unexpected character '$'");
 }

@@ -13,7 +13,6 @@ HplParams small_params() {
   p.n = 960;
   p.nb = 120;
   p.tasks = 4;
-  p.flops_per_second = 3.2e9;
   return p;
 }
 
@@ -63,7 +62,7 @@ TEST(HplTrace, ComputeTimeMatchesFlopModel) {
     expected +=
         params.tasks * update_flops(m - nb, (m - nb) / params.tasks, nb);
   }
-  EXPECT_NEAR(compute_total, expected / params.flops_per_second, 1e-9);
+  EXPECT_NEAR(compute_total, expected / kFlopsPerSecond, 1e-9);
 }
 
 TEST(HplTrace, MaxPanelsTruncates) {
@@ -78,14 +77,28 @@ TEST(HplTrace, MaxPanelsTruncates) {
   EXPECT_EQ(sends, 3 * (params.tasks - 1));
 }
 
-TEST(HplTrace, BarrierPerIteration) {
-  auto params = small_params();
-  params.barrier_per_iteration = true;
+TEST(HplTrace, LookaheadIrecvsAndNoBarriers) {
+  const auto params = small_params();
   const auto trace = make_hpl_trace(params);
-  int barriers = 0;
-  for (const auto& e : trace.program(0))
-    if (e.kind == sim::EventKind::kBarrier) ++barriers;
-  EXPECT_EQ(barriers, num_panels(params));
+  int irecvs = 0;
+  for (sim::TaskId t = 0; t < trace.num_tasks(); ++t)
+    for (const auto& e : trace.program(t)) {
+      EXPECT_NE(e.kind, sim::EventKind::kBarrier);
+      if (e.kind == sim::EventKind::kIrecv) ++irecvs;
+    }
+  // Panels 1..7 are each pre-posted by every task but their owner.
+  EXPECT_EQ(irecvs, (num_panels(params) - 1) * (params.tasks - 1));
+}
+
+TEST(HplTrace, MatchesRecordedGolden) {
+  // Pinned event counts and compute time: a change to the flop rate, the
+  // lookahead protocol or the iteration structure shows here.
+  const auto trace = make_hpl_trace(small_params());
+  EXPECT_EQ(trace.program(0).size(), 27u);
+  EXPECT_EQ(trace.program(1).size(), 26u);
+  EXPECT_EQ(trace.program(2).size(), 26u);
+  EXPECT_EQ(trace.program(3).size(), 26u);
+  EXPECT_EQ(trace.total_compute_seconds(), 0.18417595000000006);
 }
 
 TEST(HplTrace, Paper20500Configuration) {

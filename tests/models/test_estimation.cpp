@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/error.hpp"
 
 #include "models/gige.hpp"
@@ -12,13 +14,18 @@
 namespace bwshare::models {
 namespace {
 
-/// A MeasureFn backed by a GigE model with known parameters.
+/// A MeasureFn backed by a GigE model with known parameters: each comm
+/// takes t_ref x penalty, with a latency-free t_ref so T stays strictly
+/// proportional to the penalty.
 MeasureFn model_substrate(const GigeParams& params) {
   return [params](const graph::CommGraph& g) {
     const GigabitEthernetModel model(params);
-    auto cal = topo::gigabit_ethernet_calibration();
-    cal.latency = 0.0;  // keep T strictly proportional to penalty
-    return model.predict_times(g, cal);
+    const double bandwidth =
+        topo::gigabit_ethernet_calibration().reference_bandwidth();
+    std::vector<double> times = model.penalties(g);
+    for (size_t i = 0; i < times.size(); ++i)
+      times[i] *= g.comm(static_cast<graph::CommId>(i)).bytes / bandwidth;
+    return times;
   };
 }
 
@@ -39,14 +46,17 @@ TEST(Estimation, RecoversGammasExactly) {
 }
 
 TEST(Estimation, FullCalibrationRoundTrips) {
+  // β first, then γo/γi from it — the fig-4 driver's calibration path.
   GigeParams truth;
   truth.beta = 0.7;
   truth.gamma_o = 0.2;
   truth.gamma_i = 0.05;
-  const auto params = estimate_gige_params(model_substrate(truth));
-  EXPECT_NEAR(params.beta, truth.beta, 1e-9);
-  EXPECT_NEAR(params.gamma_o, truth.gamma_o, 1e-9);
-  EXPECT_NEAR(params.gamma_i, truth.gamma_i, 1e-9);
+  const auto measure = model_substrate(truth);
+  const double beta = estimate_beta(measure).beta;
+  const auto gamma = estimate_gammas(measure, beta);
+  EXPECT_NEAR(beta, truth.beta, 1e-9);
+  EXPECT_NEAR(gamma.gamma_o, truth.gamma_o, 1e-9);
+  EXPECT_NEAR(gamma.gamma_i, truth.gamma_i, 1e-9);
 }
 
 TEST(Estimation, ReferenceTimeIsSingleCommTime) {
@@ -57,14 +67,14 @@ TEST(Estimation, ReferenceTimeIsSingleCommTime) {
   EXPECT_NEAR(t_ref, 20e6 / cal.reference_bandwidth(), 1e-9);
 }
 
-TEST(Estimation, GammasClampedToValidDomain) {
-  // A perfectly fair substrate (γ = 0 exactly) must not yield negative γ.
+TEST(Estimation, FairSubstrateYieldsZeroGammas) {
+  // A perfectly fair substrate (γ = 0 exactly) is recovered as such.
   GigeParams truth;
   truth.gamma_o = 0.0;
   truth.gamma_i = 0.0;
-  const auto params = estimate_gige_params(model_substrate(truth));
-  EXPECT_GE(params.gamma_o, 0.0);
-  EXPECT_GE(params.gamma_i, 0.0);
+  const auto gamma = estimate_gammas(model_substrate(truth), truth.beta);
+  EXPECT_NEAR(gamma.gamma_o, 0.0, 1e-9);
+  EXPECT_NEAR(gamma.gamma_i, 0.0, 1e-9);
 }
 
 TEST(Estimation, RequiresAtLeastDegreeTwo) {

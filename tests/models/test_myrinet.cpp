@@ -26,8 +26,7 @@ TEST(MyrinetModel, Fig5StateSetsAreMaximalAndIndependent) {
   const auto g = graph::schemes::fig5_scheme();
   const MyrinetModel model;
   const auto analysis = model.analyze(g, /*materialize_sets=*/true);
-  const graph::ConflictGraph conflicts(
-      g, graph::ConflictRule::kSharedEndpointSameDirection);
+  const graph::ConflictGraph conflicts(g);
 
   for (const auto& set : analysis.state_sets) {
     // Independence: no two sending comms conflict.
@@ -106,15 +105,6 @@ TEST(MyrinetModel, RingWithOneTaskPerNodeIsConflictFree) {
   const auto g = graph::schemes::ring(8);
   const MyrinetModel model;
   for (double p : model.penalties(g)) EXPECT_DOUBLE_EQ(p, 1.0);
-}
-
-TEST(MyrinetModel, SharedHostRuleMakesRingConflicted) {
-  // Ablation rule: treating income/outgo as a conflict serializes the ring.
-  MyrinetParams params;
-  params.rule = graph::ConflictRule::kSharedHost;
-  const MyrinetModel model(params);
-  const auto g = graph::schemes::ring(6);
-  for (double p : model.penalties(g)) EXPECT_GT(p, 1.0);
 }
 
 TEST(MyrinetModel, DisconnectedComponentsFactorize) {

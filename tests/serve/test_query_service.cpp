@@ -136,6 +136,22 @@ TEST(QueryService, ScenarioQueryMatchesFreshRunSimulation) {
   sim::expect_bit_identical(*r.result->predicted, fresh.predicted);
 }
 
+TEST(QueryService, OverBudgetScenarioRatesErrorWithANamedCap) {
+  // churn/background rates script Poisson events over a 1 s horizon; a
+  // rate past graph::kMaxScriptEvents answers with an error line instead
+  // of drawing a script that exhausts memory.
+  QueryService service;
+  for (const bool churn : {true, false}) {
+    Query q = disjoint_query(kDisjointScheme);
+    (churn ? q.churn : q.background) = 1e9;
+    const Response r = service.query(q);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.source, Source::kError);
+    EXPECT_NE(r.error.find("kMaxScriptEvents"), std::string::npos) << r.error;
+  }
+  EXPECT_EQ(service.stats().errors, 2u);
+}
+
 TEST(QueryService, CacheHitReturnsTheSameObject) {
   QueryService service;
   const Query q = disjoint_query(kDisjointScheme);

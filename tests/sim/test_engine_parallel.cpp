@@ -166,7 +166,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParallelSolvePool, SharedInjectedPoolServesConsecutiveReplays) {
   // One process-wide pool across many simulations is the intended sweep
-  // setup; each replay's flushes scope their tasks with a TaskGroup, so
+  // setup; each replay's flushes run their chunks through parallel_for, so
   // consecutive (or interleaved) engines never wait on each other's work.
   const auto trace = churn_trace(4242, 7);
   const auto cluster = topo::ClusterSpec::uniform(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -74,6 +76,24 @@ TEST(Strings, ParseSizeRejectsGarbage) {
   EXPECT_THROW((void)parse_size(""), Error);
   EXPECT_THROW((void)parse_size("abc"), Error);
   EXPECT_THROW((void)parse_size("12XB"), Error);
+}
+
+TEST(Strings, ParseSizeRejectsNonFiniteResults) {
+  // strtod accepts all of these; none is a size a transfer can finish.
+  for (const char* literal : {"inf", "-inf", "nan", "1e400", "1e300G"}) {
+    try {
+      (void)parse_size(literal);
+      FAIL() << literal << " parsed";
+    } catch (const Error& e) {
+      const std::string want = std::string("size literal '") + literal +
+                               "' is not a finite number of bytes";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest finite sizes still parse.
+  EXPECT_DOUBLE_EQ(parse_size("1e308"), 1e308);
+  EXPECT_DOUBLE_EQ(parse_size("1e-400"), 0.0);  // underflow is finite
 }
 
 }  // namespace

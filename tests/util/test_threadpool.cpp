@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -11,17 +10,6 @@
 
 namespace bwshare::util {
 namespace {
-
-TEST(ThreadPool, RunsEverySubmittedJob) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
 
 TEST(ThreadPool, ZeroThreadsMeansHardware) {
   ThreadPool pool(0);
@@ -41,6 +29,7 @@ TEST(ThreadPool, RejectsAbsurdThreadCounts) {
 
 TEST(ThreadPool, ParallelForCoversEachIndexOnce) {
   ThreadPool pool(3);
+  EXPECT_EQ(pool.num_threads(), 3);
   std::vector<std::atomic<int>> hits(57);
   parallel_for(pool, 57, [&hits](int i) {
     hits[static_cast<size_t>(i)].fetch_add(1);
@@ -53,156 +42,124 @@ TEST(ThreadPool, ParallelForZeroIterationsIsANoOp) {
   parallel_for(pool, 0, [](int) { FAIL() << "must not run"; });
 }
 
-TEST(ThreadPool, WaitIdleRethrowsFirstJobException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw Error("job failed"); });
-  EXPECT_THROW(pool.wait_idle(), Error);
-  // The pool stays usable after a failed batch.
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, SubmitRejectsEmptyJob) {
-  ThreadPool pool(1);
-  EXPECT_THROW(pool.submit(std::function<void()>{}), Error);
-}
-
-TEST(ThreadPool, JobsMaySubmitMoreJobs) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.submit([&pool, &counter] {
-    counter.fetch_add(1);
-    pool.submit([&counter] { counter.fetch_add(10); });
-  });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 11);
-}
-
-TEST(ThreadPool, SingleThreadedPoolStillDrains) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    pool.submit([&order, i] { order.push_back(i); });
-  }
-  pool.wait_idle();
-  // One worker: jobs run in submission order.
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
 TEST(ThreadPool, OnWorkerThreadIsPoolSpecific) {
   ThreadPool a(1);
   ThreadPool b(1);
   EXPECT_FALSE(a.on_worker_thread());  // the test thread is no one's worker
   bool a_in_a = false;
   bool b_in_a = false;
-  a.submit([&] {
+  parallel_for(a, 1, [&](int) {
     a_in_a = a.on_worker_thread();
     b_in_a = b.on_worker_thread();
   });
-  a.wait_idle();
   EXPECT_TRUE(a_in_a);
   EXPECT_FALSE(b_in_a);
 }
 
-TEST(TaskGroup, WaitOnEmptyGroupReturnsImmediately) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  group.wait();  // nothing submitted: must not block or throw
+TEST(ParallelFor, SingleThreadedPoolRunsIterationsInIndexOrder) {
+  ThreadPool pool(1);
+  std::vector<int> order;
+  parallel_for(pool, 5, [&order](int i) { order.push_back(i); });
+  // One worker: iterations run in submission order.
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(TaskGroup, RunsASingleTask) {
+TEST(ParallelFor, RethrowsFirstIterationException) {
   ThreadPool pool(2);
-  TaskGroup group(pool);
+  EXPECT_THROW(parallel_for(pool, 4,
+                            [](int i) {
+                              if (i == 2) throw Error("iteration failed");
+                            }),
+               Error);
+}
+
+TEST(ParallelFor, WaitsForEveryIterationBeforeRethrowing) {
+  // The batch lives on the caller's stack: an early rethrow would leave the
+  // surviving iterations touching a dead frame.
+  ThreadPool pool(3);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(parallel_for(pool, 30,
+                            [&finished](int i) {
+                              if (i % 7 == 0) throw Error("some fail");
+                              std::this_thread::yield();
+                              finished.fetch_add(1);
+                            }),
+               Error);
+  EXPECT_EQ(finished.load(), 30 - 5);  // i = 0, 7, 14, 21, 28 threw
+}
+
+TEST(ParallelFor, PoolIsReusableAfterAFailedCall) {
+  ThreadPool pool(2);
   std::atomic<int> counter{0};
-  group.run([&counter] { counter.fetch_add(1); });
-  group.wait();
-  EXPECT_EQ(counter.load(), 1);
+  parallel_for(pool, 1, [&counter](int) { counter.fetch_add(1); });
+  EXPECT_THROW(parallel_for(pool, 1, [](int) { throw Error("call two"); }),
+               Error);
+  parallel_for(pool, 1, [&counter](int) { counter.fetch_add(10); });
+  EXPECT_EQ(counter.load(), 11);
 }
 
-TEST(TaskGroup, WaitCoversOnlyItsOwnTasks) {
-  // Two groups on one pool: waiting on one must not require the other's
-  // tasks to have finished (the property wait_idle lacks).
+TEST(ParallelFor, ConcurrentCallsWaitOnlyForTheirOwnIterations) {
+  // Two callers share one pool: the fast call must return while the slow
+  // call's iteration still occupies a worker.
   ThreadPool pool(2);
-  TaskGroup fast(pool);
-  TaskGroup slow(pool);
+  std::atomic<bool> started{false};
   std::atomic<bool> release{false};
-  std::atomic<int> fast_done{0};
-  slow.run([&release] {
-    while (!release.load()) std::this_thread::yield();
+  std::thread slow([&] {
+    parallel_for(pool, 1, [&](int) {
+      started.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
   });
-  fast.run([&fast_done] { fast_done.fetch_add(1); });
-  fast.wait();
+  while (!started.load()) std::this_thread::yield();
+  std::atomic<int> fast_done{0};
+  parallel_for(pool, 1, [&fast_done](int) { fast_done.fetch_add(1); });
   EXPECT_EQ(fast_done.load(), 1);
   release.store(true);
-  slow.wait();
+  slow.join();
 }
 
-TEST(TaskGroup, WaitRethrowsFirstTaskException) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  group.run([] { throw Error("task failed"); });
-  EXPECT_THROW(group.wait(), Error);
+TEST(ParallelFor, ConcurrentCallersEachSeeOnlyTheirOwnWork) {
+  ThreadPool pool(3);
+  std::vector<std::thread> callers;
+  std::vector<int> sums(4, 0);
+  for (size_t c = 0; c < sums.size(); ++c) {
+    callers.emplace_back([&pool, &sums, c] {
+      for (int round = 0; round < 25; ++round) {
+        std::atomic<int> sum{0};
+        parallel_for(pool, 8, [&sum](int i) { sum.fetch_add(i); });
+        sums[c] += sum.load();
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (const int s : sums) EXPECT_EQ(s, 25 * 28);
 }
 
-TEST(TaskGroup, GroupIsReusableAfterWait) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  std::atomic<int> counter{0};
-  group.run([&counter] { counter.fetch_add(1); });
-  group.wait();
-  // Same group, new batch — including after a failed batch.
-  group.run([] { throw Error("batch two fails"); });
-  EXPECT_THROW(group.wait(), Error);
-  group.run([&counter] { counter.fetch_add(10); });
-  group.wait();
-  EXPECT_EQ(counter.load(), 11);
-}
-
-TEST(TaskGroup, TasksMaySubmitIntoTheirOwnGroupFromAWorker) {
-  // Submission from within a pool thread is allowed — only *waiting* from a
-  // worker is not (see below).
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  std::atomic<int> counter{0};
-  group.run([&group, &counter] {
-    counter.fetch_add(1);
-    group.run([&counter] { counter.fetch_add(10); });
-  });
-  group.wait();
-  EXPECT_EQ(counter.load(), 11);
-}
-
-TEST(TaskGroup, WaitFromAPoolWorkerThrowsInsteadOfDeadlocking) {
-  // A worker blocked in wait() cannot run the queued tasks it waits for;
-  // with a 1-thread pool this would deadlock forever, so wait() refuses.
+TEST(ParallelFor, CallFromAPoolWorkerThrowsInsteadOfDeadlocking) {
+  // A worker blocked in parallel_for cannot run the iterations it waits
+  // for; with a 1-thread pool this would deadlock forever, so it refuses.
   ThreadPool pool(1);
-  TaskGroup outer(pool);
-  TaskGroup nested(pool);  // outlives the worker task that submits into it
   std::atomic<bool> threw{false};
-  outer.run([&nested, &threw] {
-    nested.run([] {});
+  std::atomic<bool> nested_ran{false};
+  parallel_for(pool, 1, [&](int) {
     try {
-      nested.wait();
+      parallel_for(pool, 1, [&](int) { nested_ran.store(true); });
     } catch (const Error&) {
       threw.store(true);
     }
   });
-  outer.wait();
-  nested.wait();  // from the test thread: the queued no-op drains fine
   EXPECT_TRUE(threw.load());
+  EXPECT_FALSE(nested_ran.load());  // refused before queueing anything
 }
 
-TEST(TaskGroup, ManyTasksAllRunExactlyOnce) {
-  ThreadPool pool(4);
-  TaskGroup group(pool);
-  std::vector<std::atomic<int>> hits(200);
-  for (int i = 0; i < 200; ++i) {
-    group.run([&hits, i] { hits[static_cast<size_t>(i)].fetch_add(1); });
-  }
-  group.wait();
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(ParallelFor, CallFromAWorkerOfAnotherPoolIsAllowed) {
+  ThreadPool outer(1);
+  ThreadPool inner(2);
+  std::atomic<int> counter{0};
+  parallel_for(outer, 2, [&](int) {
+    parallel_for(inner, 3, [&counter](int) { counter.fetch_add(1); });
+  });
+  EXPECT_EQ(counter.load(), 6);
 }
 
 }  // namespace
