@@ -47,10 +47,10 @@
 #include <vector>
 
 #include "flowsim/fluid_network.hpp"
-#include "graph/generator.hpp"
 #include "models/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/rate_model.hpp"
+#include "sim/scenario.hpp"
 #include "sim/schedule.hpp"
 #include "topo/cluster.hpp"
 #include "util/alloc_counter.hpp"
@@ -282,13 +282,7 @@ int main(int argc, char** argv) try {
       std::vector<Row> cell_rows;
 
       for (const double churn : churn_rates) {
-        sim::Scenario scenario;
-        if (churn > 0.0) {
-          graph::ChurnSpec churn_spec;
-          churn_spec.rate = churn;
-          churn_spec.nodes = n;
-          scenario.churn = graph::generate_churn(churn_spec, seed);
-        }
+        const auto scenario = sim::seeded_scenario(churn, 0.0, n, seed);
 
         // Replay `row`'s run with the cross_check oracle armed: it throws
         // on any divergence inside the engine, and its result must be

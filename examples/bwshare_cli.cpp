@@ -49,7 +49,6 @@
 #include "stats/sequential.hpp"
 #include "util/csv.hpp"
 #include "flowsim/fluid_network.hpp"
-#include "graph/generator.hpp"
 #include "graph/scheme_parser.hpp"
 #include "models/registry.hpp"
 #include "serve/protocol.hpp"
@@ -233,23 +232,10 @@ int run_scheme(const CliArgs& args, const std::string& path) {
 /// --scenario-seed flags: Poisson scripts over a 1 s horizon (the sweep
 /// axes' convention, docs/EXPERIMENTS.md).
 sim::Scenario scenario_from_flags(const CliArgs& args, int nodes) {
-  sim::Scenario scenario;
   const double churn = args.get_double("churn", 0.0);
   const double background = args.get_double("background", 0.0);
   const uint64_t seed = args.get_u64("scenario-seed", 42);
-  if (churn > 0.0) {
-    graph::ChurnSpec spec;
-    spec.rate = churn;
-    spec.nodes = nodes;
-    scenario.churn = graph::generate_churn(spec, seed);
-  }
-  if (background > 0.0) {
-    graph::BackgroundSpec spec;
-    spec.rate = background;
-    spec.nodes = nodes;
-    scenario.background = graph::generate_background(spec, seed);
-  }
-  return scenario;
+  return sim::seeded_scenario(churn, background, nodes, seed);
 }
 
 void describe_scenario(const sim::Scenario& scenario) {

@@ -49,11 +49,7 @@ class Reactor {
   /// afterwards. Returns the number of events processed.
   size_t run(size_t max_events = std::numeric_limits<size_t>::max());
 
-  /// Drop all pending events (the clock keeps its position).
-  void clear() { queue_.clear(); }
-
   [[nodiscard]] bool empty() const { return queue_.empty(); }
-  [[nodiscard]] size_t pending() const { return queue_.size(); }
 
  private:
   Clock clock_;

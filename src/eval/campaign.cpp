@@ -6,6 +6,7 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+#include "util/table.hpp"
 #include "util/threadpool.hpp"
 
 namespace bwshare::eval {
@@ -206,32 +207,32 @@ double CampaignResult::savings_factor() const {
 
 namespace {
 
-util::CsvWriter arms_table(const std::vector<CampaignArm>& arms) {
-  util::CsvWriter csv({"arm", "kind", "workload", "network", "model", "nodes",
-                       "cores", "policy", "churn_rate", "background_load",
-                       "replicates", "mean", "ci_low", "ci_high", "out_round",
-                       "status", "error"});
+TextTable arms_table(const std::vector<CampaignArm>& arms) {
+  TextTable table({"arm", "kind", "workload", "network", "model", "nodes",
+                   "cores", "policy", "churn_rate", "background_load",
+                   "replicates", "mean", "ci_low", "ci_high", "out_round",
+                   "status", "error"});
   for (size_t i = 0; i < arms.size(); ++i) {
     const auto& arm = arms[i];
-    csv.add_row({strformat("%zu", i), arm.kind, arm.workload, arm.network,
-                 arm.model, strformat("%d", arm.nodes),
-                 strformat("%d", arm.cores), arm.policy,
-                 util::format_fixed(arm.churn_rate, 3),
-                 util::format_fixed(arm.background_load, 3),
-                 strformat("%d", arm.replicates),
-                 util::format_fixed(arm.mean, 6),
-                 util::format_fixed(arm.ci_low, 6),
-                 util::format_fixed(arm.ci_high, 6),
-                 strformat("%d", arm.out_round), arm.status(),
-                 arm.error_msg});
+    table.add_row({strformat("%zu", i), arm.kind, arm.workload, arm.network,
+                   arm.model, strformat("%d", arm.nodes),
+                   strformat("%d", arm.cores), arm.policy,
+                   util::format_fixed(arm.churn_rate, 3),
+                   util::format_fixed(arm.background_load, 3),
+                   strformat("%d", arm.replicates),
+                   util::format_fixed(arm.mean, 6),
+                   util::format_fixed(arm.ci_low, 6),
+                   util::format_fixed(arm.ci_high, 6),
+                   strformat("%d", arm.out_round), arm.status(),
+                   arm.error_msg});
   }
-  return csv;
+  return table;
 }
 
 }  // namespace
 
 std::string CampaignResult::to_csv() const {
-  return arms_table(arms).render();
+  return arms_table(arms).to_csv();
 }
 
 std::string CampaignResult::to_json() const {
@@ -246,7 +247,7 @@ std::string CampaignResult::to_json() const {
   summary += strformat(", \"winner\": %d", winner);
   summary += "}";
   return "{\n\"summary\": " + summary +
-         ",\n\"arms\": " + util::rows_to_json(arms_table(arms)) + "\n}\n";
+         ",\n\"arms\": " + arms_table(arms).to_json() + "\n}\n";
 }
 
 }  // namespace bwshare::eval

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <utility>
 
 #include "eval/experiment.hpp"
 #include "graph/scheme_parser.hpp"
 #include "graph/schemes.hpp"
 #include "models/registry.hpp"
+#include "sim/scenario.hpp"
 #include "sim/trace_io.hpp"
 #include "stats/descriptive.hpp"
 #include "topo/cluster.hpp"
@@ -17,6 +17,7 @@
 #include "util/error.hpp"
 #include "util/parse.hpp"
 #include "util/strings.hpp"
+#include "util/table.hpp"
 #include "util/threadpool.hpp"
 
 namespace bwshare::eval {
@@ -209,7 +210,8 @@ SweepCell run_cell(const CellJob& job) {
   return run_cell_detailed(job).cell;
 }
 
-CellOutcome run_cell_detailed(const CellJob& job, const CellHooks& hooks) {
+CellOutcome run_cell_detailed(const CellJob& job,
+                              const ReplayConfig& replay) {
   const bool is_trace = job.workload->is_trace();
   CellOutcome out;
   SweepCell& cell = out.cell;
@@ -246,27 +248,10 @@ CellOutcome run_cell_detailed(const CellJob& job, const CellHooks& hooks) {
         topo::ClusterSpec::uniform("sweep", nodes, job.shape.cores,
                                    topo::calibration_for(job.tech));
     if (is_trace) {
-      // Dynamic-cluster scripts are drawn from the cell's seed alone (the
-      // generators salt churn vs background internally), so the cell is
-      // reproducible independent of execution order or thread count.
-      sim::Scenario scenario;
-      if (job.churn > 0.0) {
-        graph::ChurnSpec cs;
-        cs.rate = job.churn;
-        cs.horizon = 1.0;
-        cs.nodes = nodes;
-        scenario.churn = graph::generate_churn(cs, job.seed);
-      }
-      if (job.background > 0.0) {
-        graph::BackgroundSpec bs;
-        bs.rate = job.background;
-        bs.horizon = 1.0;
-        bs.nodes = nodes;
-        scenario.background = graph::generate_background(bs, job.seed);
-      }
-      ReplayConfig replay;
-      replay.measured.solve_memo = hooks.measured_memo;
-      replay.predicted.solve_memo = hooks.predicted_memo;
+      // Dynamic-cluster scripts are drawn from the cell's seed alone, so the
+      // cell is reproducible independent of execution order or thread count.
+      const auto scenario =
+          sim::seeded_scenario(job.churn, job.background, nodes, job.seed);
       auto detailed =
           compare_application_detailed(*job.workload->trace, cluster,
                                        job.policy, *model, job.seed,
@@ -329,102 +314,56 @@ SweepResult Sweep::run(int threads) const {
     if (!cell.ok) ++result.num_errors;
   }
 
-  // Marginal summaries, serially and in spec order (deterministic).
-  const auto add_marginals = [&result](const std::string& axis,
-                                       const std::vector<std::string>& values,
-                                       auto&& cell_value) {
-    std::vector<std::string> done;  // a repeated axis value ("--seeds 1,1")
-                                    // must not emit a duplicate row
-    for (const auto& value : values) {
-      if (std::find(done.begin(), done.end(), value) != done.end()) continue;
-      done.push_back(value);
-      stats::Accumulator acc;
-      for (const auto& cell : result.cells) {
-        if (cell.ok && cell_value(cell) == value) acc.add(cell.eabs_pct);
+  // Marginal summaries, serially (deterministic). Each axis reads one value
+  // per cell; values come in first-appearance order over the cells the axis
+  // covers, and a value gets a row only when at least one of its cells is
+  // ok. The grid crosses axes in spec order, so first appearance is spec
+  // order; the model and shape axes report what the cells resolved to
+  // ("network" names the paired model, a scheme may grow the cluster).
+  struct Axis {
+    const char* name;
+    std::string (*value)(const SweepCell&);
+    bool trace_only;  // policy and the dynamic-cluster axes
+  };
+  static const Axis kAxes[] = {
+      {"workload", [](const SweepCell& c) { return c.workload; }, false},
+      {"network", [](const SweepCell& c) { return c.network; }, false},
+      {"model", [](const SweepCell& c) { return c.model; }, false},
+      {"shape",
+       [](const SweepCell& c) { return strformat("%dx%d", c.nodes, c.cores); },
+       false},
+      {"policy", [](const SweepCell& c) { return c.policy; }, true},
+      {"churn_rate",
+       [](const SweepCell& c) { return strformat("%g", c.churn_rate); }, true},
+      {"background_load",
+       [](const SweepCell& c) { return strformat("%g", c.background_load); },
+       true},
+      {"seed",
+       [](const SweepCell& c) {
+         return strformat("%llu", static_cast<unsigned long long>(c.seed));
+       },
+       false},
+  };
+  for (const Axis& axis : kAxes) {
+    std::vector<std::pair<std::string, stats::Accumulator>> groups;
+    for (const auto& cell : result.cells) {
+      if (axis.trace_only && cell.kind != "trace") continue;
+      std::string value = axis.value(cell);
+      auto group = std::find_if(groups.begin(), groups.end(),
+                                [&value](const auto& g) {
+                                  return g.first == value;
+                                });
+      if (group == groups.end()) {
+        group = groups.insert(groups.end(), {std::move(value), {}});
       }
+      if (cell.ok) group->second.add(cell.eabs_pct);
+    }
+    for (const auto& [value, acc] : groups) {
       if (acc.count() == 0) continue;
       result.marginals.push_back(
-          {axis, value, acc.count(), acc.mean(), acc.max()});
-    }
-  };
-  std::vector<std::string> workload_keys;
-  for (const auto& w : workloads_) workload_keys.push_back(w.key);
-  add_marginals("workload", workload_keys,
-                [](const SweepCell& c) { return c.workload; });
-  std::vector<std::string> network_names;
-  for (const auto tech : spec_.networks) {
-    network_names.push_back(short_tech_name(tech));
-  }
-  add_marginals("network", network_names,
-                [](const SweepCell& c) { return c.network; });
-  std::vector<std::string> model_names;
-  for (const auto& name : spec_.models) {
-    model_names.push_back(name == "network"
-                              ? "network"
-                              : models::make_model(name)->name());
-  }
-  if (std::find(spec_.models.begin(), spec_.models.end(), "network") !=
-      spec_.models.end()) {
-    // "network" resolves per cell; aggregate it over the resolved names.
-    model_names.clear();
-    std::map<std::string, bool> seen;
-    for (const auto& cell : result.cells) {
-      if (!cell.model.empty() && !seen[cell.model]) {
-        seen[cell.model] = true;
-        model_names.push_back(cell.model);
-      }
+          {axis.name, value, acc.count(), acc.mean(), acc.max()});
     }
   }
-  add_marginals("model", model_names,
-                [](const SweepCell& c) { return c.model; });
-  // Shapes aggregate over the *effective* cluster (a scheme needing more
-  // nodes than the shape grows the cluster), so collect values from cells.
-  std::vector<std::string> shape_names;
-  for (const auto& cell : result.cells) {
-    const std::string name = strformat("%dx%d", cell.nodes, cell.cores);
-    if (std::find(shape_names.begin(), shape_names.end(), name) ==
-        shape_names.end()) {
-      shape_names.push_back(name);
-    }
-  }
-  add_marginals("shape", shape_names, [](const SweepCell& c) {
-    return strformat("%dx%d", c.nodes, c.cores);
-  });
-  if (!spec_.traces.empty()) {
-    std::vector<std::string> policy_names;
-    for (const auto policy : spec_.policies) {
-      policy_names.push_back(sim::to_string(policy));
-    }
-    add_marginals("policy", policy_names,
-                  [](const SweepCell& c) { return c.policy; });
-    // The dynamic-cluster axes, like policy, only exist on trace cells;
-    // scheme cells (always churn 0 / load 0) would otherwise pollute the
-    // zero rows, so marginals filter on kind.
-    std::vector<std::string> churn_names;
-    for (const double r : spec_.churn_rates) {
-      churn_names.push_back(strformat("%g", r));
-    }
-    add_marginals("churn_rate", churn_names, [](const SweepCell& c) {
-      return c.kind == "trace" ? strformat("%g", c.churn_rate)
-                               : std::string("-");
-    });
-    std::vector<std::string> load_names;
-    for (const double r : spec_.background_loads) {
-      load_names.push_back(strformat("%g", r));
-    }
-    add_marginals("background_load", load_names, [](const SweepCell& c) {
-      return c.kind == "trace" ? strformat("%g", c.background_load)
-                               : std::string("-");
-    });
-  }
-  std::vector<std::string> seed_names;
-  for (const auto seed : spec_.seeds) {
-    seed_names.push_back(
-        strformat("%llu", static_cast<unsigned long long>(seed)));
-  }
-  add_marginals("seed", seed_names, [](const SweepCell& c) {
-    return strformat("%llu", static_cast<unsigned long long>(c.seed));
-  });
 
   return result;
 }
@@ -433,49 +372,48 @@ namespace {
 
 using util::format_fixed;
 
-util::CsvWriter cells_table(const std::vector<SweepCell>& cells) {
+TextTable cells_table(const std::vector<SweepCell>& cells) {
   // Schema v2: churn_rate/background_load joined the per-cell columns when
   // the dynamic-cluster axes landed (docs/EXPERIMENTS.md).
-  util::CsvWriter csv({"kind", "workload", "network", "model", "nodes",
-                       "cores", "policy", "churn_rate", "background_load",
-                       "seed", "units", "measured_s", "predicted_s",
-                       "eabs_pct", "max_abs_erel_pct", "status", "error"});
+  TextTable table({"kind", "workload", "network", "model", "nodes", "cores",
+                   "policy", "churn_rate", "background_load", "seed", "units",
+                   "measured_s", "predicted_s", "eabs_pct", "max_abs_erel_pct",
+                   "status", "error"});
   for (const auto& cell : cells) {
-    csv.add_row({cell.kind, cell.workload, cell.network, cell.model,
-                 strformat("%d", cell.nodes), strformat("%d", cell.cores),
-                 cell.policy, format_fixed(cell.churn_rate, 3),
-                 format_fixed(cell.background_load, 3),
-                 strformat("%llu", static_cast<unsigned long long>(cell.seed)),
-                 strformat("%d", cell.units),
-                 format_fixed(cell.measured_s, 6),
-                 format_fixed(cell.predicted_s, 6),
-                 format_fixed(cell.eabs_pct, 3),
-                 format_fixed(cell.max_abs_erel_pct, 3),
-                 cell.ok ? "ok" : "error", cell.error});
+    table.add_row(
+        {cell.kind, cell.workload, cell.network, cell.model,
+         strformat("%d", cell.nodes), strformat("%d", cell.cores),
+         cell.policy, format_fixed(cell.churn_rate, 3),
+         format_fixed(cell.background_load, 3),
+         strformat("%llu", static_cast<unsigned long long>(cell.seed)),
+         strformat("%d", cell.units), format_fixed(cell.measured_s, 6),
+         format_fixed(cell.predicted_s, 6), format_fixed(cell.eabs_pct, 3),
+         format_fixed(cell.max_abs_erel_pct, 3), cell.ok ? "ok" : "error",
+         cell.error});
   }
-  return csv;
+  return table;
 }
 
-util::CsvWriter marginals_table(const std::vector<SweepMarginal>& marginals) {
-  util::CsvWriter csv({"axis", "value", "cells", "mean_eabs_pct",
-                       "max_eabs_pct"});
+TextTable marginals_table(const std::vector<SweepMarginal>& marginals) {
+  TextTable table({"axis", "value", "cells", "mean_eabs_pct",
+                   "max_eabs_pct"});
   for (const auto& m : marginals) {
-    csv.add_row({m.axis, m.value, strformat("%zu", m.cells),
-                 format_fixed(m.mean_eabs_pct, 3),
-                 format_fixed(m.max_eabs_pct, 3)});
+    table.add_row({m.axis, m.value, strformat("%zu", m.cells),
+                   format_fixed(m.mean_eabs_pct, 3),
+                   format_fixed(m.max_eabs_pct, 3)});
   }
-  return csv;
+  return table;
 }
 
 }  // namespace
 
 std::string SweepResult::to_csv() const {
-  return cells_table(cells).render();
+  return cells_table(cells).to_csv();
 }
 
 std::string SweepResult::to_json() const {
-  return "{\n\"cells\": " + util::rows_to_json(cells_table(cells)) +
-         ",\n\"marginals\": " + util::rows_to_json(marginals_table(marginals)) +
+  return "{\n\"cells\": " + cells_table(cells).to_json() +
+         ",\n\"marginals\": " + marginals_table(marginals).to_json() +
          "\n}\n";
 }
 

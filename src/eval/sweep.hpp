@@ -19,16 +19,12 @@
 #include <string>
 #include <vector>
 
+#include "eval/experiment.hpp"
 #include "graph/comm_graph.hpp"
 #include "graph/generator.hpp"
 #include "sim/events.hpp"
 #include "sim/schedule.hpp"
 #include "topo/network.hpp"
-
-namespace bwshare::sim {
-class SolveMemo;
-struct SimResult;
-}
 
 namespace bwshare::eval {
 
@@ -72,10 +68,10 @@ struct SweepSpec {
   /// Membership-churn axis (trace cells only, like `policies`): Poisson
   /// join/leave/fail events per second of simulated time over a 1 s
   /// horizon, scripted per cell from the cell's seed
-  /// (graph::generate_churn). 0 = static cluster.
+  /// (sim::seeded_scenario). 0 = static cluster.
   std::vector<double> churn_rates = {0.0};
   /// Background cross-traffic axis (trace cells only): Poisson 1 MB flows
-  /// per second over a 1 s horizon (graph::generate_background). 0 = none.
+  /// per second over a 1 s horizon (sim::seeded_scenario). 0 = none.
   std::vector<double> background_loads = {0.0};
   /// Seed axis. A cell's seed drives scheme generation, random placement
   /// and the churn/background scripts; it is the only source of randomness
@@ -189,16 +185,6 @@ struct SweepCell {
 /// on the job, never on execution order or thread count.
 [[nodiscard]] SweepCell run_cell(const CellJob& job);
 
-/// Optional instrumentation for run_cell_detailed. The memos (not owned,
-/// may be null) are threaded into the trace cell's two replays as
-/// EngineConfig::solve_memo — the serving layer's cross-query warm-start
-/// hook (sim/solve_memo.hpp). Scheme cells ignore them (compare_scheme is a
-/// static solve with no replay).
-struct CellHooks {
-  sim::SolveMemo* measured_memo = nullptr;
-  sim::SolveMemo* predicted_memo = nullptr;
-};
-
 /// run_cell plus the full replay evidence for trace cells: the placement
 /// and both SimResults (null for scheme cells and for errored cells). The
 /// summary `cell` is computed identically to run_cell — same numbers, same
@@ -210,8 +196,12 @@ struct CellOutcome {
   std::shared_ptr<const sim::SimResult> predicted;
 };
 
+/// `replay` configures the trace cell's two replays; the serving layer sets
+/// their EngineConfig::solve_memo as its cross-query warm-start hook
+/// (sim/solve_memo.hpp). Scheme cells ignore it (compare_scheme is a static
+/// solve with no replay).
 [[nodiscard]] CellOutcome run_cell_detailed(const CellJob& job,
-                                            const CellHooks& hooks = {});
+                                            const ReplayConfig& replay = {});
 
 /// Marginal summary: all ok cells sharing one axis value.
 struct SweepMarginal {

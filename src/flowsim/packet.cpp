@@ -1,6 +1,7 @@
 #include "flowsim/packet.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <map>
 #include <memory>
@@ -171,15 +172,24 @@ class PacketSim {
     flows_.resize(static_cast<size_t>(graph.size()));
     std::map<topo::NodeId, int> tx_count;
     std::map<topo::NodeId, int> rx_count;
+    // Fewest events the run can take: an inter-node packet is at least
+    // injected, served by the source host IO engine, by one network stage
+    // and by the destination host IO engine; an intra-node packet is
+    // injected and delivered. A scheme whose floor exceeds the budget
+    // cannot finish, so it fails here rather than after kMaxEvents.
+    double event_floor = 0.0;
     for (graph::CommId i = 0; i < graph.size(); ++i) {
       auto& f = flows_[static_cast<size_t>(i)];
       const auto& c = graph.comm(i);
       f.src = c.src;
       f.dst = c.dst;
       f.intra_node = graph.is_intra_node(i);
-      f.total_packets =
-          std::max<long>(1, static_cast<long>((c.bytes + cal.mtu - 1.0) /
-                                              cal.mtu));
+      const double packets =
+          std::max(1.0, std::floor((c.bytes + cal.mtu - 1.0) / cal.mtu));
+      event_floor += packets * (f.intra_node ? 2.0 : 4.0);
+      BWS_CHECK(event_floor <= static_cast<double>(kMaxEvents),
+                "packet simulation exceeded kMaxEvents");
+      f.total_packets = static_cast<long>(packets);
       if (!f.intra_node) {
         ++tx_count[c.src];
         ++rx_count[c.dst];

@@ -5,38 +5,23 @@
 namespace bwshare::serve {
 
 std::shared_ptr<const QueryResult> ResultCache::lookup(uint64_t fp) {
-  const auto it = map_.find(fp);
-  if (it == map_.end()) return nullptr;
-  mru_.splice(mru_.begin(), mru_, it->second.first);
-  return it->second.second;
+  const auto* hit = lru_.find(fp);
+  if (hit == nullptr) return nullptr;
+  lru_.touch(fp);
+  return *hit;
 }
 
 void ResultCache::insert(uint64_t fp,
                          std::shared_ptr<const QueryResult> result) {
   if (capacity_ == 0) return;
-  const auto it = map_.find(fp);
-  if (it != map_.end()) {
-    mru_.splice(mru_.begin(), mru_, it->second.first);
-    it->second.second = std::move(result);
-    return;
-  }
-  mru_.push_front(fp);
-  map_.emplace(fp, std::make_pair(mru_.begin(), std::move(result)));
-  while (map_.size() > capacity_) {
-    map_.erase(mru_.back());
-    mru_.pop_back();
-    ++evictions_;
-  }
-}
-
-std::vector<uint64_t> ResultCache::keys_mru_first() const {
-  return {mru_.begin(), mru_.end()};
+  lru_.put(fp, std::move(result));
+  lru_.trim(capacity_);
 }
 
 bool WarmStore::lookup(uint64_t key, std::vector<double>& rates) const {
-  const auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  rates = it->second.second;
+  const auto* hit = lru_.find(key);
+  if (hit == nullptr) return false;
+  rates = *hit;
   return true;
 }
 
@@ -44,22 +29,17 @@ void WarmStore::commit(
     const std::map<uint64_t, std::vector<double>>& staged) {
   if (capacity_ == 0) return;
   for (const auto& [key, rates] : staged) {
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      // Same key => same bits (the solve-memo purity contract); only the
-      // commit recency needs refreshing.
-      commit_order_.splice(commit_order_.begin(), commit_order_,
-                           it->second.first);
-      continue;
+    // Same key => same bits (the solve-memo purity contract); only the
+    // commit recency needs refreshing.
+    if (lru_.find(key) != nullptr) {
+      lru_.touch(key);
+    } else {
+      lru_.put(key, rates);
     }
-    commit_order_.push_front(key);
-    map_.emplace(key, std::make_pair(commit_order_.begin(), rates));
   }
-  while (map_.size() > capacity_) {
-    map_.erase(commit_order_.back());
-    commit_order_.pop_back();
-    ++evictions_;
-  }
+  // One trim per commit: trimming per insert could evict a key this very
+  // commit refreshes later in key order.
+  lru_.trim(capacity_);
 }
 
 }  // namespace bwshare::serve

@@ -1,4 +1,5 @@
-// The serving layer's two memo tiers (docs/SERVING.md):
+// The serving layer's two memo tiers (docs/SERVING.md), both built on the
+// one bounded LRU below (serve::Lru):
 //
 //   * ResultCache — whole completed replays, fingerprint -> QueryResult,
 //     bounded true-LRU. A hit returns the memoized result object itself
@@ -10,10 +11,10 @@
 //     never on lookup, so concurrent lookups during a batch are plain const
 //     reads and response bytes cannot depend on pool scheduling.
 //
-// Neither container locks: QueryService touches them only from its
-// sequential planning/commit phases (service.cpp); during the parallel
-// execution phase the WarmStore is frozen and only read through the
-// const lookup().
+// The tiers differ only in when recency moves and when they trim. Neither
+// container locks: QueryService touches them only from its sequential
+// planning/commit phases (service.cpp); during the parallel execution phase
+// the WarmStore is frozen and only read through the const lookup().
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "eval/sweep.hpp"
@@ -29,6 +31,71 @@
 #include "sim/solve_memo.hpp"
 
 namespace bwshare::serve {
+
+/// A least-recently-used map from 64-bit keys to values: a recency list
+/// (front = most recent) plus a hash index into it. Recency moves only on
+/// touch() and put(); entries leave only in trim(), which counts them, so
+/// each caller decides when an overflow is settled.
+template <typename Value>
+class Lru {
+ public:
+  Lru() = default;
+  // The index holds iterators into order_, which a copy would still point
+  // into; a move carries the list nodes along, so they stay valid.
+  Lru(const Lru&) = delete;
+  Lru& operator=(const Lru&) = delete;
+  Lru(Lru&&) = default;
+  Lru& operator=(Lru&&) = default;
+
+  /// The stored value, or null when absent. Never reorders.
+  [[nodiscard]] const Value* find(uint64_t key) const {
+    const auto it = map_.find(key);
+    return it == map_.end() ? nullptr : &it->second.second;
+  }
+
+  /// Mark a present key most recently used (no-op when absent).
+  void touch(uint64_t key) {
+    const auto it = map_.find(key);
+    if (it != map_.end()) {
+      order_.splice(order_.begin(), order_, it->second.first);
+    }
+  }
+
+  /// Insert or overwrite `key` and mark it most recently used. Never
+  /// evicts: the size may exceed any bound until trim().
+  void put(uint64_t key, Value value) {
+    const auto it = map_.find(key);
+    if (it != map_.end()) {
+      order_.splice(order_.begin(), order_, it->second.first);
+      it->second.second = std::move(value);
+      return;
+    }
+    order_.push_front(key);
+    map_.emplace(key, std::make_pair(order_.begin(), std::move(value)));
+  }
+
+  /// Evict least-recently-used entries until at most `capacity` remain.
+  void trim(size_t capacity) {
+    while (map_.size() > capacity) {
+      map_.erase(order_.back());
+      order_.pop_back();
+      ++evictions_;
+    }
+  }
+
+  [[nodiscard]] size_t size() const { return map_.size(); }
+  [[nodiscard]] size_t evictions() const { return evictions_; }
+  [[nodiscard]] std::vector<uint64_t> keys_mru_first() const {
+    return {order_.begin(), order_.end()};
+  }
+
+ private:
+  std::list<uint64_t> order_;
+  std::unordered_map<uint64_t,
+                     std::pair<std::list<uint64_t>::iterator, Value>>
+      map_;
+  size_t evictions_ = 0;
+};
 
 /// One executed query, as cached and as returned: the sweep-style summary
 /// row plus the full replay evidence behind it.
@@ -57,22 +124,18 @@ class ResultCache {
   /// least-recently-used entry when over capacity.
   void insert(uint64_t fp, std::shared_ptr<const QueryResult> result);
 
-  [[nodiscard]] size_t size() const { return map_.size(); }
+  [[nodiscard]] size_t size() const { return lru_.size(); }
   [[nodiscard]] size_t capacity() const { return capacity_; }
-  [[nodiscard]] size_t evictions() const { return evictions_; }
+  [[nodiscard]] size_t evictions() const { return lru_.evictions(); }
   /// Fingerprints, most-recently-used first — the eviction-order pins in
   /// tests/serve/test_fingerprint.cpp read this.
-  [[nodiscard]] std::vector<uint64_t> keys_mru_first() const;
+  [[nodiscard]] std::vector<uint64_t> keys_mru_first() const {
+    return lru_.keys_mru_first();
+  }
 
  private:
   size_t capacity_;
-  // front = most recently used
-  std::list<uint64_t> mru_;
-  std::unordered_map<
-      uint64_t, std::pair<std::list<uint64_t>::iterator,
-                          std::shared_ptr<const QueryResult>>>
-      map_;
-  size_t evictions_ = 0;
+  Lru<std::shared_ptr<const QueryResult>> lru_;
 };
 
 /// Bounded store of component rate solutions, the frozen tier every
@@ -87,22 +150,17 @@ class WarmStore final : public sim::SolveStore {
 
   /// Publish one replay's staged solutions (sim::SolveMemo::staged(), which
   /// iterates in key order — deterministic). Existing keys refresh their
-  /// commit recency; overflow evicts the least-recently-committed entries.
+  /// commit recency; once every staged key is in, one trim evicts the
+  /// least-recently-committed entries beyond capacity.
   void commit(const std::map<uint64_t, std::vector<double>>& staged);
 
-  [[nodiscard]] size_t size() const { return map_.size(); }
+  [[nodiscard]] size_t size() const { return lru_.size(); }
   [[nodiscard]] size_t capacity() const { return capacity_; }
-  [[nodiscard]] size_t evictions() const { return evictions_; }
+  [[nodiscard]] size_t evictions() const { return lru_.evictions(); }
 
  private:
   size_t capacity_;
-  // front = most recently committed
-  std::list<uint64_t> commit_order_;
-  std::unordered_map<uint64_t,
-                     std::pair<std::list<uint64_t>::iterator,
-                               std::vector<double>>>
-      map_;
-  size_t evictions_ = 0;
+  Lru<std::vector<double>> lru_;
 };
 
 }  // namespace bwshare::serve

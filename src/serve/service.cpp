@@ -166,10 +166,10 @@ std::vector<Response> QueryService::query_batch(
   util::parallel_for(*pool_, static_cast<int>(jobs.size()), [&](int j) {
     Job& job = *jobs[static_cast<size_t>(j)];
     const eval::CellJob cell_job = job.cq.job();
-    eval::CellHooks hooks;
-    hooks.measured_memo = job.measured_memo.get();
-    hooks.predicted_memo = job.predicted_memo.get();
-    eval::CellOutcome out = eval::run_cell_detailed(cell_job, hooks);
+    eval::ReplayConfig replay;
+    replay.measured.solve_memo = job.measured_memo.get();
+    replay.predicted.solve_memo = job.predicted_memo.get();
+    eval::CellOutcome out = eval::run_cell_detailed(cell_job, replay);
     job.warm = job.measured_memo->frozen_hits() +
                    job.predicted_memo->frozen_hits() >
                0;

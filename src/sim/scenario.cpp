@@ -9,6 +9,26 @@
 
 namespace bwshare::sim {
 
+Scenario seeded_scenario(double churn, double background, int nodes,
+                         uint64_t seed) {
+  Scenario scenario;
+  if (churn > 0.0) {
+    graph::ChurnSpec spec;
+    spec.rate = churn;
+    spec.horizon = 1.0;
+    spec.nodes = nodes;
+    scenario.churn = graph::generate_churn(spec, seed);
+  }
+  if (background > 0.0) {
+    graph::BackgroundSpec spec;
+    spec.rate = background;
+    spec.horizon = 1.0;
+    spec.nodes = nodes;
+    scenario.background = graph::generate_background(spec, seed);
+  }
+  return scenario;
+}
+
 int Scenario::num_jobs() const {
   if (job_of.empty()) return 1;
   return 1 + *std::max_element(job_of.begin(), job_of.end());

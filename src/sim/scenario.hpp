@@ -32,6 +32,7 @@
 // enforces bit-exactly.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/generator.hpp"
@@ -63,5 +64,15 @@ struct Scenario {
   /// not cover every task, or non-dense job ids.
   void validate(int num_tasks, int num_nodes) const;
 };
+
+/// The seeded dynamic-cluster scenario of a sweep cell, a served query and
+/// the CLI's trace/multijob replays: Poisson membership churn at `churn`
+/// events per second and background flows at `background` flows per second
+/// on `nodes` nodes, both over a 1 s horizon and drawn from `seed`
+/// (graph::generate_churn and generate_background salt their streams
+/// apart). A zero rate draws no script. Throws bwshare::Error on a rate or
+/// node count the generators reject.
+[[nodiscard]] Scenario seeded_scenario(double churn, double background,
+                                       int nodes, uint64_t seed);
 
 }  // namespace bwshare::sim

@@ -1,5 +1,7 @@
-// Fixed-width histogram with text rendering, used by example binaries to
-// visualize penalty and error distributions.
+// Fixed-width histogram with text rendering, for penalty and error
+// distributions. No program calls it; only tests/stats (test_histogram.cpp
+// and one StatsFuzz case) do, and the StatsFuzz case counts toward CI's
+// statistical-suite floor.
 #pragma once
 
 #include <span>

@@ -1,7 +1,7 @@
-// Ordinary least squares fits. The GigE model's β parameter is estimated as
-// the slope of penalty vs. conflict degree through the origin (§V-A); the
-// general linear fit backs the LogGP-style baseline's (latency, 1/bandwidth)
-// calibration.
+// Ordinary least squares fits: a general line and a line through the
+// origin (the §V-A shape of penalty vs. conflict degree). No program calls
+// them; only tests/stats (test_regression.cpp and three StatsFuzz cases)
+// do, and the StatsFuzz cases count toward CI's statistical-suite floor.
 #pragma once
 
 #include <span>

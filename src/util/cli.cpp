@@ -47,10 +47,6 @@ std::vector<std::string> CliArgs::unknown_flags(
   return unknown;  // values_ is an ordered map, so already alphabetical
 }
 
-bool CliArgs::has(const std::string& name) const {
-  return values_.count(name) != 0;
-}
-
 std::string CliArgs::get(const std::string& name,
                          const std::string& fallback) const {
   const auto it = values_.find(name);

@@ -21,7 +21,6 @@ class CliArgs {
   /// Parse argv. Unrecognized positional arguments are kept in order.
   CliArgs(int argc, const char* const* argv);
 
-  [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
   /// Integer flag within [lo, hi]; a value outside throws bwshare::Error

@@ -1,11 +1,7 @@
 #include "util/csv.hpp"
 
 #include <charconv>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <utility>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -58,100 +54,12 @@ std::string format_fixed(double v, int precision) {
   return std::string(buf, res.ptr);
 }
 
-CsvWriter::CsvWriter(std::vector<std::string> header)
-    : header_(std::move(header)) {
-  BWS_CHECK(!header_.empty(), "CsvWriter: header must not be empty");
-}
-
-void CsvWriter::add_row(std::vector<std::string> row) {
-  BWS_CHECK(row.size() == header_.size(),
-            strformat("CsvWriter: row has %zu fields, header has %zu",
-                      row.size(), header_.size()));
-  rows_.push_back(std::move(row));
-}
-
-std::string CsvWriter::render() const {
-  std::string out;
-  const auto append_line = [&out](const std::vector<std::string>& fields) {
-    for (size_t i = 0; i < fields.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      out += csv_escape(fields[i]);
-    }
-    out.push_back('\n');
-  };
-  append_line(header_);
-  for (const auto& row : rows_) append_line(row);
-  return out;
-}
-
 void write_text_file(const std::string& path, std::string_view content) {
   std::ofstream file(path, std::ios::binary);
   BWS_CHECK(file.good(), "cannot open '" + path + "' for writing");
   file.write(content.data(), static_cast<std::streamsize>(content.size()));
   file.flush();
   BWS_CHECK(file.good(), "failed writing '" + path + "'");
-}
-
-void CsvWriter::write_file(const std::string& path) const {
-  write_text_file(path, render());
-}
-
-namespace {
-
-// A field is emitted bare only when it matches the JSON number grammar
-// (RFC 8259 §6) AND parses finite. strtod alone is too permissive — it
-// accepts hex ("0x10"), leading '+' and ".5", all invalid JSON.
-bool is_json_number(const std::string& field) {
-  const auto digit = [](char c) { return c >= '0' && c <= '9'; };
-  size_t i = 0;
-  const size_t n = field.size();
-  if (i < n && field[i] == '-') ++i;
-  if (i == n || !digit(field[i])) return false;
-  if (field[i] == '0') {
-    ++i;  // no leading zeros: "0" or "0.x", never "01"
-  } else {
-    while (i < n && digit(field[i])) ++i;
-  }
-  if (i < n && field[i] == '.') {
-    ++i;
-    if (i == n || !digit(field[i])) return false;
-    while (i < n && digit(field[i])) ++i;
-  }
-  if (i < n && (field[i] == 'e' || field[i] == 'E')) {
-    ++i;
-    if (i < n && (field[i] == '+' || field[i] == '-')) ++i;
-    if (i == n || !digit(field[i])) return false;
-    while (i < n && digit(field[i])) ++i;
-  }
-  if (i != n) return false;
-  return std::isfinite(std::strtod(field.c_str(), nullptr));
-}
-
-}  // namespace
-
-std::string rows_to_json(const CsvWriter& table) {
-  std::string out = "[";
-  const auto& header = table.header();
-  for (size_t r = 0; r < table.rows().size(); ++r) {
-    const auto& row = table.rows()[r];
-    out += r == 0 ? "\n  {" : ",\n  {";
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += '"';
-      out += json_escape(header[i]);
-      out += "\": ";
-      if (is_json_number(row[i])) {
-        out += row[i];
-      } else {
-        out += '"';
-        out += json_escape(row[i]);
-        out += '"';
-      }
-    }
-    out += "}";
-  }
-  out += table.rows().empty() ? "]" : "\n]";
-  return out;
 }
 
 }  // namespace bwshare::util

@@ -1,13 +1,12 @@
-// Tabular result writers for the sweep subsystem: RFC-4180-style CSV plus a
-// JSON rendering of the same rows. Both render from the same in-memory rows,
-// so a sweep emitted as CSV and JSON is guaranteed to carry identical
-// values. All formatting is caller-side (fields arrive as strings), which
-// keeps the output byte-stable across platforms and thread counts.
+// Field-level helpers for machine-readable output: CSV and JSON escaping,
+// locale-independent fixed-point numbers and a checked file write. The
+// tables themselves (header, rows, CSV/JSON/text rendering) are
+// bwshare::TextTable in util/table.hpp; the serve protocol and the campaign
+// summary use these helpers directly for their hand-built JSON objects.
 #pragma once
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace bwshare::util {
 
@@ -27,35 +26,5 @@ void write_text_file(const std::string& path, std::string_view content);
 /// application that calls setlocale() must not turn "12.5" into "12,5" in
 /// machine-readable output. Shared by the sweep and campaign table writers.
 [[nodiscard]] std::string format_fixed(double v, int precision);
-
-class CsvWriter {
- public:
-  explicit CsvWriter(std::vector<std::string> header);
-
-  /// Append one row; must have exactly as many fields as the header.
-  void add_row(std::vector<std::string> row);
-
-  [[nodiscard]] size_t num_rows() const { return rows_.size(); }
-  [[nodiscard]] const std::vector<std::string>& header() const {
-    return header_;
-  }
-  [[nodiscard]] const std::vector<std::vector<std::string>>& rows() const {
-    return rows_;
-  }
-
-  /// Header line + one line per row, '\n' line endings.
-  [[nodiscard]] std::string render() const;
-
-  void write_file(const std::string& path) const;
-
- private:
-  std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
-};
-
-/// Render the table as a JSON array of objects keyed by the header. Fields
-/// that parse completely as finite numbers are emitted unquoted; everything
-/// else becomes a JSON string.
-[[nodiscard]] std::string rows_to_json(const CsvWriter& table);
 
 }  // namespace bwshare::util

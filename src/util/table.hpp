@@ -1,44 +1,49 @@
-// Aligned text tables and CSV output. The bench harness prints every
-// reproduced paper table through TextTable so rows line up with the paper's
-// layout, and can mirror the same rows to CSV for plotting.
+// The one table type: a header plus rows of preformatted string cells,
+// rendered as aligned text (the bench and example drivers print every
+// reproduced paper table this way), as RFC-4180-style CSV and as a JSON
+// array of objects. All three render the same in-memory rows, so a sweep or
+// campaign report emitted as CSV and JSON carries identical values. All
+// number formatting is caller-side (cells arrive as strings), which keeps
+// the output byte-stable across platforms and thread counts.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "util/csv.hpp"
-
 namespace bwshare {
 
-/// A simple row/column table with aligned text rendering. Header and rows
-/// live in a util::CsvWriter, which validates row width and renders the CSV.
 class TextTable {
  public:
-  /// Create a table with the given column headers.
+  /// Create a table with the given column headers; throws bwshare::Error
+  /// on an empty header.
   explicit TextTable(std::vector<std::string> headers);
 
-  /// Append a row; must have exactly as many cells as there are headers.
+  /// Append a row; must have exactly as many cells as there are headers
+  /// (throws bwshare::Error otherwise).
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with the given precision.
-  void add_row_numeric(const std::string& label,
-                       const std::vector<double>& values, int precision = 3);
-
-  [[nodiscard]] size_t num_rows() const { return csv_.num_rows(); }
+  [[nodiscard]] size_t num_rows() const { return rows_.size(); }
 
   /// Render with padded columns, a header underline and `indent` spaces of
   /// left margin.
   [[nodiscard]] std::string render(int indent = 2) const;
 
-  /// Render as RFC-4180-ish CSV (quotes cells containing commas/quotes).
-  [[nodiscard]] std::string to_csv() const { return csv_.render(); }
+  /// Header line + one line per row, '\n' line endings; cells containing a
+  /// comma, quote, CR or LF are quoted (util::csv_escape).
+  [[nodiscard]] std::string to_csv() const;
 
-  /// Write CSV to a file; throws bwshare::Error on I/O failure.
-  void write_csv(const std::string& path) const { csv_.write_file(path); }
+  /// Write to_csv() to a file; throws bwshare::Error on I/O failure.
+  void write_csv(const std::string& path) const;
+
+  /// A JSON array of objects keyed by the header. Cells that match the
+  /// RFC 8259 number grammar and parse finite are emitted bare; everything
+  /// else becomes a JSON string.
+  [[nodiscard]] std::string to_json() const;
 
  private:
-  util::CsvWriter csv_;
+  std::vector<std::string> header_;
+  std::vector<std::vector<std::string>> rows_;
 };
 
 /// Print a section banner used by the bench binaries.

@@ -71,7 +71,7 @@ TEST(Reactor, RunStopsAtTheEventBudget) {
   reactor.schedule_at(5.0, [&] { ++fired; });
   EXPECT_EQ(reactor.run(1), 1u);
   EXPECT_EQ(fired, 1);
-  EXPECT_EQ(reactor.pending(), 1u);
+  EXPECT_FALSE(reactor.empty());
   EXPECT_DOUBLE_EQ(reactor.now(), 1.0);  // the unrun event moved nothing
   EXPECT_EQ(reactor.run(1), 1u);         // a later run resumes the queue
   EXPECT_EQ(fired, 2);
@@ -109,17 +109,6 @@ TEST(Reactor, CannotScheduleInThePast) {
   reactor.run();
   EXPECT_THROW(reactor.schedule_at(1.0, [] {}), Error);
   EXPECT_THROW(reactor.schedule_in(-1.0, [] {}), Error);
-}
-
-TEST(Reactor, ClearKeepsTheClockPosition) {
-  Reactor reactor;
-  reactor.schedule_at(4.0, [] {});
-  reactor.run();
-  reactor.schedule_at(9.0, [] {});
-  reactor.clear();
-  EXPECT_TRUE(reactor.empty());
-  EXPECT_DOUBLE_EQ(reactor.now(), 4.0);
-  EXPECT_THROW(reactor.schedule_at(1.0, [] {}), Error);
 }
 
 }  // namespace

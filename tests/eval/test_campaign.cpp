@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 
+#include "common/golden.hpp"
 #include "sim/trace_io.hpp"
 #include "util/error.hpp"
 
@@ -183,6 +184,35 @@ TEST(Campaign, ReportSchemaIsStable) {
         "\"savings_factor\"", "\"winner\"", "\"arms\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+}
+
+// The CSV and JSON reports of a small fixed-seed campaign against recorded
+// goldens: scheme arms (built-in and generated) and churned trace arms on
+// two interconnects, under the elimination rule.
+TEST(Campaign, ReportMatchesRecordedGolden) {
+  const std::string trace =
+      std::string(BWSHARE_SOURCE_DIR) + "/data/ring8.trace";
+  CampaignSpec spec;
+  spec.grid.schemes = {"mk1", "random:nodes=6,comms=8,spread=1"};
+  spec.grid.traces = {trace};
+  spec.grid.networks = {topo::NetworkTech::kGigabitEthernet,
+                        topo::NetworkTech::kMyrinet2000};
+  spec.grid.shapes = {{4, 2}};
+  spec.grid.policies = {sim::SchedulingPolicy::kRandom};
+  spec.grid.churn_rates = {0.0, 40.0};
+  spec.objective = Objective::kMeasuredSeconds;
+  spec.stop.rule = stats::StoppingRule::kCutoff;
+  spec.stop.min_replicates = 2;
+  spec.stop.max_replicates = 6;
+  spec.stop.resamples = 100;
+  spec.batch = 2;
+  spec.seed = 11;
+  spec.stop.ci_seed = 11;
+  const auto result = Campaign(std::move(spec)).run(2);
+  EXPECT_EQ(testing_golden::replace_all(result.to_csv(), trace, "TRACE"),
+            testing_golden::read_golden("campaign_small.csv"));
+  EXPECT_EQ(testing_golden::replace_all(result.to_json(), trace, "TRACE"),
+            testing_golden::read_golden("campaign_small.json"));
 }
 
 TEST(Campaign, InMemoryWorkloadsMatchFileWorkloads) {

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/golden.hpp"
 #include "util/error.hpp"
 
 namespace bwshare::eval {
@@ -265,6 +266,32 @@ TEST(Sweep, ChurnedCellsAreByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(result.to_csv(), csv) << "threads=" << threads;
     EXPECT_EQ(result.to_json(), json) << "threads=" << threads;
   }
+}
+
+// The full JSON report of a mixed grid against a recorded golden: it pins
+// cell order, error text and every marginal row (order, value, count, mean,
+// max). The grid mixes a built-in scheme, a generator spec and the ring8
+// trace; repeats a seed; crosses two models, two policies and two churn
+// rates; and includes a 1x1 shape the trace cannot fit, so some cells error
+// and drop out of the marginals.
+TEST(SweepResult, MixedGridJsonMatchesRecordedGolden) {
+  const std::string trace =
+      std::string(BWSHARE_SOURCE_DIR) + "/data/ring8.trace";
+  SweepSpec spec;
+  spec.schemes = {"mk1", "random:nodes=6,comms=8,spread=1"};
+  spec.traces = {trace};
+  spec.models = {"network", "loggp"};
+  spec.shapes = {{1, 1}, {4, 2}};
+  spec.policies = {sim::SchedulingPolicy::kRoundRobinNode,
+                   sim::SchedulingPolicy::kRandom};
+  spec.churn_rates = {0.0, 40.0};
+  spec.seeds = {1, 1, 2};
+  const auto result = Sweep(std::move(spec)).run(2);
+  EXPECT_GT(result.num_errors, 0u);
+  EXPECT_LT(result.num_errors, result.cells.size());
+  const std::string json =
+      testing_golden::replace_all(result.to_json(), trace, "TRACE");
+  EXPECT_EQ(json, testing_golden::read_golden("sweep_mixed.json"));
 }
 
 TEST(SweepResult, CsvHasHeaderAndOneLinePerCell) {

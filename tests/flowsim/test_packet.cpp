@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "graph/schemes.hpp"
@@ -100,6 +101,21 @@ TEST(PacketSim, Validation) {
   graph::CommGraph g;
   g.add("a", 0, 1, 1e6);
   EXPECT_THROW(measure_scheme_packet(g, cal), Error);
+}
+
+TEST(PacketSim, OverBudgetSchemeIsRejectedBeforeRunning) {
+  // Two 10 GB flows are ~1.3e7 GigE packets, at least 4 events each: past
+  // the 5e7-event budget before the first event runs.
+  const auto g = graph::schemes::outgoing_fan(2, 10e9);
+  try {
+    (void)measure_scheme_packet(g, topo::gigabit_ethernet_calibration());
+    FAIL() << "expected an over-budget error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "packet simulation exceeded kMaxEvents"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // Packet times pinned bit for bit: a change to the window, credit or

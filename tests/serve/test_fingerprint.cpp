@@ -1,5 +1,6 @@
 // serve query canonicalization + fingerprint stability pins, and the LRU
-// pins for the two serving memo tiers (ResultCache, WarmStore).
+// pins for the shared serve::Lru and the two serving memo tiers built on it
+// (ResultCache, WarmStore).
 //
 // The fingerprint contract under test: queries that mean the same replay
 // hash the same regardless of spelling (builtin scheme name vs .scheme path
@@ -298,6 +299,45 @@ TEST(ResultCache, CapacityZeroServesThrough) {
 }
 
 // ---------------------------------------------------------------------------
+// Lru pins: the one recency container both tiers are built on.
+
+TEST(Lru, FindNeverReordersAndTouchRefreshes) {
+  Lru<int> lru;
+  lru.put(1, 10);
+  lru.put(2, 20);
+  lru.put(3, 30);
+  EXPECT_EQ(lru.keys_mru_first(), (std::vector<uint64_t>{3, 2, 1}));
+  ASSERT_NE(lru.find(1), nullptr);
+  EXPECT_EQ(*lru.find(1), 10);
+  EXPECT_EQ(lru.find(4), nullptr);
+  EXPECT_EQ(lru.keys_mru_first(), (std::vector<uint64_t>{3, 2, 1}));
+  lru.touch(1);
+  lru.touch(4);  // absent: no-op
+  EXPECT_EQ(lru.keys_mru_first(), (std::vector<uint64_t>{1, 3, 2}));
+  lru.put(2, 21);  // overwrite moves to the front
+  EXPECT_EQ(lru.keys_mru_first(), (std::vector<uint64_t>{2, 1, 3}));
+  EXPECT_EQ(*lru.find(2), 21);
+  EXPECT_EQ(lru.size(), 3u);
+  EXPECT_EQ(lru.evictions(), 0u);
+}
+
+TEST(Lru, PutNeverEvictsAndTrimCountsTheOverflow) {
+  Lru<int> lru;
+  for (uint64_t k = 1; k <= 5; ++k) lru.put(k, static_cast<int>(k));
+  EXPECT_EQ(lru.size(), 5u);
+  EXPECT_EQ(lru.evictions(), 0u);
+  lru.trim(5);  // nothing over the bound
+  EXPECT_EQ(lru.evictions(), 0u);
+  lru.trim(2);  // drops 1, 2, 3 from the LRU end
+  EXPECT_EQ(lru.keys_mru_first(), (std::vector<uint64_t>{5, 4}));
+  EXPECT_EQ(lru.find(3), nullptr);
+  EXPECT_EQ(lru.evictions(), 3u);
+  lru.trim(0);
+  EXPECT_EQ(lru.size(), 0u);
+  EXPECT_EQ(lru.evictions(), 5u);
+}
+
+// ---------------------------------------------------------------------------
 // WarmStore pins: LRU by commit, lookups never reorder.
 
 TEST(WarmStore, LookupsDoNotChangeEvictionOrder) {
@@ -325,6 +365,26 @@ TEST(WarmStore, RecommitRefreshesRecency) {
   EXPECT_TRUE(store.lookup(1, rates));
   EXPECT_FALSE(store.lookup(2, rates));
   EXPECT_TRUE(store.lookup(3, rates));
+}
+
+TEST(WarmStore, OverflowingCommitKeepsARefreshedLruKey) {
+  // One commit that both overflows the store and refreshes the key at the
+  // LRU end. Staged keys apply in key order and the store trims once, after
+  // the whole commit: new key 0 pushes the size to 4, key 1 moves to the
+  // front, and the single trim evicts 2. A trim after every insert would
+  // evict 1 before its refresh, re-insert it and evict again.
+  WarmStore store(3);
+  store.commit({{1, {1.0}}, {2, {2.0}}, {3, {3.0}}});
+  ASSERT_EQ(store.evictions(), 0u);
+  store.commit({{0, {0.5}}, {1, {1.0}}});
+  std::vector<double> rates;
+  EXPECT_TRUE(store.lookup(1, rates));
+  EXPECT_EQ(rates, (std::vector<double>{1.0}));
+  EXPECT_TRUE(store.lookup(0, rates));
+  EXPECT_TRUE(store.lookup(3, rates));
+  EXPECT_FALSE(store.lookup(2, rates));
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(store.evictions(), 1u);
 }
 
 TEST(WarmStore, CapacityZeroDisablesWarmStart) {

@@ -9,8 +9,8 @@
 // plain one. Fuzzed over the shared churn workload and over every
 // generator family under the fluid, gige-model and myrinet-model
 // providers, plus targeted semantic tests for the fail/leave/join and
-// background-admission rules. Runs under the TSan CI job next to
-// test_engine_parallel.cpp.
+// background-admission rules and the seeded_scenario builder. Runs under
+// the TSan CI job next to test_engine_parallel.cpp.
 #include <cstdint>
 #include <tuple>
 
@@ -22,6 +22,7 @@
 #include "models/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/rate_model.hpp"
+#include "sim/scenario.hpp"
 #include "sim/schedule.hpp"
 #include "topo/cluster.hpp"
 #include "topo/fattree.hpp"
@@ -564,6 +565,62 @@ TEST(EngineChurnGolden, LeaveAndBackgroundFlowAtTheSameInstant) {
        {0.21871166666666664, 0, 0,
         0.21871166666666664, 0, 0, 1}}};
   expect_golden(trace, 3, scenario, golden);
+}
+
+// --- seeded scenarios ------------------------------------------------------
+
+TEST(EngineChurn, SeededScenarioDrawsOnlyNonzeroRates) {
+  const Scenario none = seeded_scenario(0.0, 0.0, 8, 7);
+  EXPECT_TRUE(none.churn.empty());
+  EXPECT_TRUE(none.background.empty());
+  const Scenario churn_only = seeded_scenario(40.0, 0.0, 8, 7);
+  EXPECT_FALSE(churn_only.churn.empty());
+  EXPECT_TRUE(churn_only.background.empty());
+  const Scenario background_only = seeded_scenario(0.0, 100.0, 8, 7);
+  EXPECT_TRUE(background_only.churn.empty());
+  EXPECT_FALSE(background_only.background.empty());
+}
+
+TEST(EngineChurn, SeededScenarioMatchesTheGeneratorsOverOneSecond) {
+  const int nodes = 16;
+  const uint64_t seed = 11;
+  const Scenario s = seeded_scenario(40.0, 100.0, nodes, seed);
+
+  graph::ChurnSpec churn;
+  churn.rate = 40.0;
+  churn.horizon = 1.0;
+  churn.nodes = nodes;
+  const auto want_churn = graph::generate_churn(churn, seed);
+  ASSERT_EQ(s.churn.size(), want_churn.size());
+  for (size_t i = 0; i < want_churn.size(); ++i) {
+    EXPECT_EQ(s.churn[i].time, want_churn[i].time) << i;
+    EXPECT_EQ(s.churn[i].kind, want_churn[i].kind) << i;
+    EXPECT_EQ(s.churn[i].node, want_churn[i].node) << i;
+  }
+
+  graph::BackgroundSpec background;
+  background.rate = 100.0;
+  background.horizon = 1.0;
+  background.nodes = nodes;
+  const auto want_background = graph::generate_background(background, seed);
+  ASSERT_EQ(s.background.size(), want_background.size());
+  for (size_t i = 0; i < want_background.size(); ++i) {
+    EXPECT_EQ(s.background[i].time, want_background[i].time) << i;
+    EXPECT_EQ(s.background[i].src, want_background[i].src) << i;
+    EXPECT_EQ(s.background[i].dst, want_background[i].dst) << i;
+    EXPECT_EQ(s.background[i].bytes, want_background[i].bytes) << i;
+  }
+  for (const auto& ev : s.churn) EXPECT_LT(ev.time, 1.0);
+  for (const auto& flow : s.background) EXPECT_LT(flow.time, 1.0);
+}
+
+TEST(EngineChurn, SeededScenarioRejectsAnOverBudgetRate) {
+  // The 1 s horizon caps each rate at graph::kMaxScriptEvents per second.
+  EXPECT_THROW((void)seeded_scenario(2 * graph::kMaxScriptEvents, 0.0, 8, 1),
+               Error);
+  EXPECT_THROW((void)seeded_scenario(0.0, 2 * graph::kMaxScriptEvents, 8, 1),
+               Error);
+  EXPECT_THROW((void)seeded_scenario(40.0, 0.0, 1, 1), Error);
 }
 
 // --- validation ------------------------------------------------------------

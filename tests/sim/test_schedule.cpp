@@ -61,8 +61,8 @@ TEST(Schedule, AllPoliciesRespectCapacity) {
 TEST(Schedule, Colocation) {
   const auto p = make_placement(SchedulingPolicy::kRoundRobinProcessor,
                                 cluster(4, 2), 4);
-  EXPECT_TRUE(p.colocated(0, 1));
-  EXPECT_FALSE(p.colocated(1, 2));
+  EXPECT_EQ(p.node_of(0), p.node_of(1));
+  EXPECT_NE(p.node_of(1), p.node_of(2));
 }
 
 TEST(Schedule, CapacityValidation) {

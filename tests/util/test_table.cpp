@@ -2,13 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "util/csv.hpp"
 #include "util/error.hpp"
 
 namespace bwshare {
@@ -32,13 +30,20 @@ TEST(TextTable, RendersAlignedColumns) {
 TEST(TextTable, RowArityIsChecked) {
   TextTable t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), Error);
+  EXPECT_THROW(t.add_row({"1", "2", "3"}), Error);
+  EXPECT_EQ(t.num_rows(), 0u);
 }
 
-TEST(TextTable, NumericRows) {
-  TextTable t({"label", "x", "y"});
-  t.add_row_numeric("r", {1.23456, 2.0}, 2);
-  EXPECT_EQ(t.num_rows(), 1u);
-  EXPECT_NE(t.render().find("1.23"), std::string::npos);
+TEST(TextTable, EmptyHeaderIsRejected) {
+  EXPECT_THROW(TextTable({}), Error);
+}
+
+TEST(TextTable, CsvRendersHeaderAndRows) {
+  TextTable t({"name", "value"});
+  t.add_row({"alpha", "1"});
+  t.add_row({"with,comma", "2"});
+  EXPECT_EQ(t.to_csv(), "name,value\nalpha,1\n\"with,comma\",2\n");
+  EXPECT_EQ(t.num_rows(), 2u);
 }
 
 TEST(TextTable, CsvEscaping) {
@@ -52,18 +57,15 @@ TEST(TextTable, CsvEscaping) {
 }
 
 TEST(TextTable, WriteCsvRoundTrip) {
-  TextTable t({"x", "y"});
-  t.add_row({"1", "2"});
-  const std::string path = ::testing::TempDir() + "/bwshare_table.csv";
+  TextTable t({"k", "v"});
+  t.add_row({"x", "1"});
+  t.add_row({"two\nlines", "say \"hi\""});
+  const std::string path = ::testing::TempDir() + "bwshare_table.csv";
   t.write_csv(path);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "x,y");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,2");
-  std::remove(path.c_str());
+  std::ifstream file(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << file.rdbuf();
+  EXPECT_EQ(buffer.str(), t.to_csv());
 }
 
 TEST(TextTable, WriteCsvBadPathThrows) {
@@ -71,30 +73,10 @@ TEST(TextTable, WriteCsvBadPathThrows) {
   EXPECT_THROW(t.write_csv("/nonexistent-dir/nope.csv"), Error);
 }
 
-
-TEST(TextTable, EmptyHeaderIsRejected) {
-  EXPECT_THROW(TextTable({}), Error);
-}
-
-TEST(TextTable, ToCsvMatchesCsvWriter) {
-  // The table's CSV is util::CsvWriter's rendering of the same cells.
-  const std::vector<std::string> header = {"name", "note"};
-  const std::vector<std::vector<std::string>> rows = {
-      {"alpha", "plain"}, {"b,c", "say \"hi\""}, {"", "two\nlines"}};
-  TextTable t(header);
-  util::CsvWriter csv(header);
-  for (const auto& row : rows) {
-    t.add_row(row);
-    csv.add_row(row);
-  }
-  EXPECT_EQ(t.to_csv(), csv.render());
-  EXPECT_EQ(t.num_rows(), csv.num_rows());
-}
-
 TEST(TextTable, RenderIndentsEveryLine) {
   TextTable t({"k", "v"});
   t.add_row({"x", "1"});
-  t.add_row_numeric("y", {2.5}, 1);
+  t.add_row({"y", "2.5"});
   std::istringstream is(t.render(4));
   std::string line;
   int lines = 0;
@@ -104,6 +86,59 @@ TEST(TextTable, RenderIndentsEveryLine) {
     EXPECT_NE(line[4], ' ') << line;
   }
   EXPECT_EQ(lines, 4);  // header, underline, two rows
+}
+
+TEST(TextTableJson, NumbersUnquotedStringsQuoted) {
+  TextTable t({"name", "value", "note"});
+  t.add_row({"alpha", "1.5", "ok"});
+  t.add_row({"beta", "-2e3", "has \"quote\""});
+  EXPECT_EQ(t.to_json(),
+            "[\n"
+            "  {\"name\": \"alpha\", \"value\": 1.5, \"note\": \"ok\"},\n"
+            "  {\"name\": \"beta\", \"value\": -2e3, "
+            "\"note\": \"has \\\"quote\\\"\"}\n"
+            "]");
+}
+
+TEST(TextTableJson, EmptyTableIsEmptyArray) {
+  TextTable t({"a"});
+  EXPECT_EQ(t.to_json(), "[]");
+}
+
+TEST(TextTableJson, InfinityAndEmptyAreStrings) {
+  TextTable t({"v"});
+  t.add_row({"inf"});
+  t.add_row({""});
+  EXPECT_EQ(t.to_json(), "[\n  {\"v\": \"inf\"},\n  {\"v\": \"\"}\n]");
+}
+
+TEST(TextTableJson, StrtodAccepteesThatAreNotJsonNumbersStayQuoted) {
+  // strtod consumes all of these, but none is a valid RFC 8259 number.
+  TextTable t({"v"});
+  for (const char* field : {"0x10", "+1", ".5", "01", "1.", "1e", "-"}) {
+    t.add_row({field});
+  }
+  const std::string json = t.to_json();
+  EXPECT_NE(json.find("\"0x10\""), std::string::npos);
+  EXPECT_NE(json.find("\"+1\""), std::string::npos);
+  EXPECT_NE(json.find("\".5\""), std::string::npos);
+  EXPECT_NE(json.find("\"01\""), std::string::npos);
+  EXPECT_NE(json.find("\"1.\""), std::string::npos);
+  EXPECT_NE(json.find("\"1e\""), std::string::npos);
+  EXPECT_NE(json.find("\"-\""), std::string::npos);
+}
+
+TEST(TextTableJson, ValidJsonNumbersStayBare) {
+  TextTable t({"v"});
+  for (const char* field : {"0", "-0.5", "10", "2.25", "1e9", "-3E-2"}) {
+    t.add_row({field});
+  }
+  const std::string json = t.to_json();
+  for (const char* token :
+       {"\"v\": 0}", "\"v\": -0.5}", "\"v\": 10}", "\"v\": 2.25}",
+        "\"v\": 1e9}", "\"v\": -3E-2}"}) {
+    EXPECT_NE(json.find(token), std::string::npos) << json;
+  }
 }
 
 }  // namespace
